@@ -36,7 +36,6 @@ from .semantics import (
     Semantics,
     check,
     check_pfd,
-    check_pfd_decomposed,
     check_rm,
     check_seamless,
     check_standard,

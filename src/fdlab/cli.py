@@ -2,8 +2,10 @@
 
 Exit codes: 0 every dependency satisfied (or witness found), 1 a dependency
 violated or no witness exists, 2 usage, parse, model, or budget errors.
-The FDLAB_WORLD_CAP environment variable overrides the valuation cap used by
-the strong/weak/seamless checkers.
+`check --cap N` sets the valuation cap: worlds for strong/weak, search steps
+for seamless, lhs bindings per tuple for pfd, valuations per tuple for
+vertical.  Without --cap the FDLAB_WORLD_CAP environment variable sets it,
+else the default of 1,000,000 applies.  A cap below 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -29,14 +31,21 @@ EXIT_VIOLATED = 1
 EXIT_ERROR = 2
 
 
+def _cap_value(text: str) -> int:
+    """A valuation cap: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _world_cap(args) -> int:
     env = os.environ.get("FDLAB_WORLD_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FdlabError(f"FDLAB_WORLD_CAP must be an integer, got {env!r}") from None
-    return getattr(args, "cap", None) or DEFAULT_VALUATION_CAP
+    if args.cap is not None or env is None:
+        return args.cap or DEFAULT_VALUATION_CAP
+    try:
+        return _cap_value(env)
+    except argparse.ArgumentTypeError as exc:
+        raise FdlabError(f"FDLAB_WORLD_CAP {exc}") from None
 
 
 def _load_table(path: str, model: Optional[Model] = None) -> Table:
@@ -49,8 +58,8 @@ def _load_fds(path: str) -> list:
     return parse_fds(Path(path).read_text(encoding="utf-8"))
 
 
-def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
+def _emit(out: Optional[str], text: str) -> None:
+    """Write `text` to the file `out`, or to stdout when it is not given."""
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -62,12 +71,12 @@ def cmd_check(args) -> int:
     fds = _load_fds(args.fds)
     report = check(table, fds, Semantics(args.semantics), valuation_cap=_world_cap(args))
     if args.format == "text":
-        _emit(args, report.to_text(timing=args.timing))
+        _emit(args.out, report.to_text(timing=args.timing))
     else:
         payload = report.to_dict()
         if args.timing:
             payload["elapsed_ms"] = round(report.elapsed_s * 1000, 3)
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if report.satisfied else EXIT_VIOLATED
 
 
@@ -79,7 +88,7 @@ def cmd_valuate(args) -> int:
     except PfdPreconditionError as exc:
         sys.stderr.write(f"fdlab: dependency not satisfied: {exc.fd}\n")
         return EXIT_VIOLATED
-    _emit(args, serialize_table(world))
+    _emit(args.out, serialize_table(world))
     return EXIT_OK
 
 
@@ -89,14 +98,14 @@ def cmd_worlds(args) -> int:
     chunks = []
     for i, world in enumerate(worlds, start=1):
         chunks.append(f"# world {i} of {len(worlds)}\n" + serialize_table(world))
-    _emit(args, "\n".join(chunks))
+    _emit(args.out, "\n".join(chunks))
     return EXIT_OK
 
 
 def cmd_closure(args) -> int:
     fds = _load_fds(args.fds)
     closed = attribute_closure(fds, args.attrs.split(","))
-    _emit(args, ",".join(sorted(closed)) + "\n")
+    _emit(args.out, ",".join(sorted(closed)) + "\n")
     return EXIT_OK
 
 
@@ -105,14 +114,8 @@ def cmd_gen3dm(args) -> int:
     reduction = generate_3dm_reduction(inst)
     table_text = serialize_table(reduction.table)
     fds_text = serialize_fds(reduction.fds)
-    if args.out_table:
-        Path(args.out_table).write_text(table_text, encoding="utf-8")
-    else:
-        sys.stdout.write(table_text)
-    if args.out_fds:
-        Path(args.out_fds).write_text(fds_text, encoding="utf-8")
-    else:
-        sys.stdout.write(fds_text)
+    _emit(args.out_table, table_text)
+    _emit(args.out_fds, fds_text)
     return EXIT_OK
 
 
@@ -133,7 +136,7 @@ def cmd_bench(args) -> int:
                 rejected += 1
         elapsed = time.perf_counter() - start
         _emit(
-            args,
+            args.out,
             f"fd: {fds[0]}\naccepted: {accepted}\nrejected: {rejected}\n"
             f"total_ms: {elapsed * 1000:.3f}\n",
         )
@@ -143,7 +146,7 @@ def cmd_bench(args) -> int:
     except ValueError:
         raise FdlabError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     report = bench_inserts(sizes=sizes, probes=args.probes, seed=args.seed)
-    _emit(args, report.to_text())
+    _emit(args.out, report.to_text())
     return EXIT_OK
 
 
@@ -169,9 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[s.value for s in Semantics],
         help="seamless treats the dependency file as one set",
     )
-    p.add_argument("--format", choices=["text", "json", "json-like"], default="text")
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--timing", action="store_true", help="include elapsed time in the report")
-    p.add_argument("--cap", type=int, help="valuation cap for strong/weak/seamless")
+    p.add_argument("--cap", type=_cap_value, help="valuation cap (wins over FDLAB_WORLD_CAP)")
     p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("valuate", help="produce one world satisfying all pfds")

@@ -108,23 +108,17 @@ def parse_table(text: str, model: Optional[Model] = None) -> Table:
     tuples = []
     for no, line in body:
         try:
-            if table_model is Model.DISJUNCTIVE:
-                if line.startswith("("):
-                    tuples.append(
-                        DisjunctiveTuple(schema, _parse_disjunctive_row(line, no, len(schema)))
-                    )
-                else:
-                    values = _split_row(line, no)
-                    if len(values) != len(schema):
-                        raise ParseError(f"row has {len(values)} fields, expected {len(schema)}", no)
-                    tuples.append(DisjunctiveTuple(schema, (tuple(values),)))
-                continue
             if line.startswith("("):
-                raise ParseError(f"disjunctive row in a {table_model.value} table", no)
+                if table_model is not Model.DISJUNCTIVE:
+                    raise ParseError(f"disjunctive row in a {table_model.value} table", no)
+                tuples.append(DisjunctiveTuple(schema, _parse_disjunctive_row(line, no, len(schema))))
+                continue
             fields = _split_row(line, no)
             if len(fields) != len(schema):
                 raise ParseError(f"row has {len(fields)} fields, expected {len(schema)}", no)
-            if table_model is Model.VAGUE:
+            if table_model is Model.DISJUNCTIVE:
+                tuples.append(DisjunctiveTuple(schema, (tuple(fields),)))
+            elif table_model is Model.VAGUE:
                 tuples.append(VagueTuple(schema, tuple(_parse_cell(f, no) for f in fields)))
             else:
                 for f in fields:

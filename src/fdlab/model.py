@@ -146,9 +146,6 @@ class VagueTuple:
     def model(self) -> Model:
         return Model.VAGUE
 
-    def is_singleton(self) -> bool:
-        return all(len(c) == 1 for c in self.cells)
-
     def valuations(self) -> Iterator[Row]:
         """All standard rows obtainable from this tuple, in value order."""
         return itertools.product(*(sorted(c) for c in self.cells))

@@ -8,6 +8,10 @@ rejected insert leaves the index untouched (all bindings are scanned before
 any mutation), so updates can be done as remove-then-insert.  Counters track
 how many tuples support a binding; an entry disappears when its counter
 reaches zero.
+
+Cost: check, insert and remove are linear in the tuple's lhs bindings,
+independent of the index size; a tuple with more than DEFAULT_VALUATION_CAP
+lhs bindings raises ValuationBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import IndexContractError, PfdRejected
+from .errors import IndexContractError, PfdRejected, SchemaError
 from .model import Schema, VagueTuple
-from .semantics import FunctionalDependency, answer_set, bindings
+from .semantics import FunctionalDependency, _fd_positions, contributions
 
 
 @dataclass
@@ -45,8 +49,7 @@ class PfdIndex:
     def __init__(self, fd: FunctionalDependency, schema: Schema):
         self.fd = fd
         self.schema = schema
-        self._x_attrs = tuple(schema.restrict(fd.lhs).attributes)
-        self._y_attrs = tuple(schema.restrict(fd.rhs).attributes)
+        self._positions = _fd_positions(schema, fd)
         self._entries: dict = {}
 
     def __len__(self) -> int:
@@ -55,22 +58,16 @@ class PfdIndex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PfdIndex):
             return NotImplemented
-        return (
-            self.fd == other.fd
-            and self.schema == other.schema
-            and {k: (e.answers, e.support) for k, e in self._entries.items()}
-            == {k: (e.answers, e.support) for k, e in other._entries.items()}
-        )
+        return self.fd == other.fd and self.schema == other.schema and self.entries() == other.entries()
 
     def entries(self) -> dict:
         """Snapshot: binding -> (answer set, support count)."""
         return {k: (e.answers, e.support) for k, e in self._entries.items()}
 
     def _contributions(self, t) -> list:
-        return [
-            (b, answer_set(t, self._x_attrs, b, self._y_attrs))
-            for b in sorted(bindings(t, self._x_attrs))
-        ]
+        if t.schema != self.schema:
+            raise SchemaError(f"tuple schema {t.schema.attributes} differs from index schema {self.schema.attributes}")
+        return contributions(t, *self._positions)
 
     def check(self, t) -> Optional[Conflict]:
         """Would `insert` reject this tuple?  Never mutates."""

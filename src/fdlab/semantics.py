@@ -14,12 +14,15 @@ Six interpretations are supported:
 
 Seamless satisfaction (one world satisfying a whole FD set at once) is a
 set-level check and is exposed as `check_seamless`.  Checking it is
-NP-complete, so it carries a search budget.
+NP-complete, so it carries a search budget.  The standard, pfd and vertical
+checks share one core: `contributions` (a tuple's binding -> answer set
+pairs) and `_first_disagreement` (one hash pass over them).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -72,14 +75,9 @@ class Semantics(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-def bindings(t, attrs: Iterable[str]) -> frozenset:
-    """t[X] as the set of standard value rows its valuations take on X."""
-    pos = t.schema.positions(attrs)
-    if isinstance(t, StandardTuple):
-        return frozenset((tuple(t.values[i] for i in pos),))
-    if isinstance(t, VagueTuple):
-        return frozenset(itertools.product(*(sorted(t.cells[i]) for i in pos)))
-    return frozenset(tuple(row[i] for i in pos) for row in t.disjuncts)
+def _cells(t) -> tuple:
+    """Uniform cell view of a standard or vague tuple: one set per attribute."""
+    return t.cells if isinstance(t, VagueTuple) else tuple(frozenset((v,)) for v in t.values)
 
 
 def answer_set(t, x_attrs: Iterable[str], binding: tuple, y_attrs: Iterable[str]) -> frozenset:
@@ -96,7 +94,7 @@ def answer_set(t, x_attrs: Iterable[str], binding: tuple, y_attrs: Iterable[str]
             for row in t.disjuncts
             if tuple(row[i] for i in x_pos) == binding
         )
-    cells = t.cells if isinstance(t, VagueTuple) else tuple(frozenset((v,)) for v in t.values)
+    cells = _cells(t)
     bound = dict(zip(x_pos, binding))
     if any(bound[i] not in cells[i] for i in x_pos):
         return frozenset()
@@ -121,6 +119,51 @@ def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[st
     x_norm = tuple(t.schema.restrict(x_attrs).attributes)
     answers = answer_set(t, x_norm, tuple(binding), onto_attrs)
     return SelectionResult(t, x_norm, tuple(binding), onto_attrs, answers)
+
+
+def contributions(t, x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP) -> list:
+    """(binding, t[X=binding][Y]) for every lhs binding of `t` (X and Y as
+    schema positions), in sorted binding order.  Linear in the bindings; a
+    vague tuple with more than `cap` of them raises ValuationBudgetExceeded."""
+    if isinstance(t, StandardTuple):
+        return [(tuple(t.values[i] for i in x_pos), frozenset((tuple(t.values[i] for i in y_pos),)))]
+    if isinstance(t, DisjunctiveTuple):
+        groups = {}
+        for row in t.disjuncts:
+            groups.setdefault(tuple(row[i] for i in x_pos), set()).add(tuple(row[i] for i in y_pos))
+        return [(b, frozenset(groups[b])) for b in sorted(groups)]
+    lhs = [sorted(t.cells[i]) for i in x_pos]
+    if math.prod(map(len, lhs)) > cap:
+        raise ValuationBudgetExceeded(cap)
+    rhs = [sorted(t.cells[i]) for i in y_pos]
+    at = {p: k for k, p in enumerate(x_pos) if p in y_pos}
+    if not at:  # the answer set is the same for every binding
+        answers = frozenset(itertools.product(*rhs))
+        return [(b, answers) for b in itertools.product(*lhs)]
+    return [(b, frozenset(itertools.product(*((b[at[p]],) if p in at else c for p, c in zip(y_pos, rhs)))))
+            for b in itertools.product(*lhs)]
+
+
+def _first_disagreement(tuples: tuple, pairs_of, reason: str) -> Optional[Violation]:
+    """Violation for the least (i, j, key), i < j, such that tuples i and j
+    map `key` to different values under `pairs_of(t)` (key, value) pairs.
+
+    The least pair for a key starts at the key's first holder f: if i and j
+    disagree and f < i, f disagrees with one of them in an earlier pair.  So
+    one pass keeping each key's first holder and first later disagreement
+    suffices.  Linear in the number of pairs."""
+    first, found = {}, {}
+    for j, t in enumerate(tuples):
+        for key, value in pairs_of(t):
+            seen = first.get(key)
+            if seen is None:
+                first[key] = (j, value)
+            elif seen[1] != value and key not in found:
+                found[key] = seen[0], j
+    if not found:
+        return None
+    i, j, key = min((i, j, key) for key, (i, j) in found.items())
+    return Violation(reason, (tuples[i], tuples[j]), key)
 
 
 # ---------------------------------------------------------------------------
@@ -171,32 +214,30 @@ def _fd_positions(schema, fd: FunctionalDependency):
 
 
 def find_standard_violation(table: Table, fd: FunctionalDependency) -> Optional[Violation]:
+    """First (t1, t2) in canonical order equal on X and different on Y.
+    Linear in tuples (one hash pass)."""
     if table.model is not Model.STANDARD:
         raise ModelError("standard satisfaction is defined over standard tables only")
     x_pos, y_pos = _fd_positions(table.schema, fd)
-    for i, t1 in enumerate(table.tuples):
-        for t2 in table.tuples[i:]:
-            k1 = tuple(t1.values[p] for p in x_pos)
-            if k1 == tuple(t2.values[p] for p in x_pos):
-                if tuple(t1.values[p] for p in y_pos) != tuple(t2.values[p] for p in y_pos):
-                    return Violation("pair-disagrees", (t1, t2), k1)
-    return None
+    return _first_disagreement(table.tuples, lambda t: contributions(t, x_pos, y_pos), "pair-disagrees")
 
 
 def check_standard(table: Table, fd: FunctionalDependency) -> bool:
-    """Classical satisfaction: equal on X implies equal on Y."""
-    if table.model is not Model.STANDARD:
-        raise ModelError("standard satisfaction is defined over standard tables only")
-    x_pos, y_pos = _fd_positions(table.schema, fd)
-    return _world_rows_violate((t.values for t in table.tuples), x_pos, y_pos) is None
+    """Classical satisfaction: equal on X implies equal on Y.  Linear in tuples."""
+    return find_standard_violation(table, fd) is None
+
+
+def _require_within(table: Table, cap: int) -> None:
+    """Raise ValuationBudgetExceeded if a tuple has more than `cap` valuations."""
+    for t in table.tuples:
+        if not isinstance(t, StandardTuple) and t.valuation_count() > cap:
+            raise ValuationBudgetExceeded(cap)
 
 
 def _capped_worlds(table: Table, cap: int):
     """Valuation worlds in deterministic order; raises once `cap` valuations
     have been consumed without the caller settling on an answer."""
-    for t in table.tuples:
-        if not isinstance(t, StandardTuple) and t.valuation_count() > cap:
-            raise ValuationBudgetExceeded(cap)
+    _require_within(table, cap)
     count = 0
     for world in iter_valuation_worlds(table):
         count += 1
@@ -206,18 +247,18 @@ def _capped_worlds(table: Table, cap: int):
 
 
 def check_strong(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP) -> bool:
-    """True iff every possible world satisfies the FD standardly."""
-    x_pos, y_pos = _fd_positions(table.schema, fd)
-    for world in _capped_worlds(table, valuation_cap):
-        if _world_rows_violate((t.values for t in world.tuples), x_pos, y_pos) is not None:
-            return False
-    return True
+    """True iff every possible world satisfies the FD standardly.
+
+    Cost: one linear pass per world, and the worlds multiply out over the
+    tuples' valuations (capped at `valuation_cap`)."""
+    return find_strong_violation(table, fd, valuation_cap) is None
 
 
 def find_strong_violation(
     table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP
 ) -> Optional[Violation]:
-    """First violating world (in valuation order) with its offending row pair."""
+    """First violating world (in valuation order) with its offending row pair.
+    Cost as `check_strong`."""
     x_pos, y_pos = _fd_positions(table.schema, fd)
     for world in _capped_worlds(table, valuation_cap):
         hit = _world_rows_violate((t.values for t in world.tuples), x_pos, y_pos)
@@ -233,7 +274,8 @@ def find_strong_violation(
 
 
 def check_weak(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP) -> bool:
-    """True iff some possible world satisfies the FD standardly."""
+    """True iff some possible world satisfies the FD standardly.  Cost as
+    `check_strong`: exponential in ambiguous tuples, capped."""
     x_pos, y_pos = _fd_positions(table.schema, fd)
     for world in _capped_worlds(table, valuation_cap):
         if _world_rows_violate((t.values for t in world.tuples), x_pos, y_pos) is None:
@@ -257,18 +299,13 @@ def check_seamless(
     still-unassigned tuple with the fewest valuations compatible with the
     choices so far is branched on (fail-first), and a partial valuation is
     abandoned as soon as some tuple has no compatible valuation left.  Raises
-    ValuationBudgetExceeded after `budget` candidate extensions.
+    ValuationBudgetExceeded after `budget` candidate extensions.  Cost:
+    exponential in tuples in the worst case (the problem is NP-complete).
     """
     fds = list(fds)
     positions = [_fd_positions(table.schema, fd) for fd in fds]
-    choice_lists = []
-    for t in table.tuples:
-        if isinstance(t, StandardTuple):
-            choice_lists.append([t.values])
-        else:
-            if t.valuation_count() > budget:
-                raise ValuationBudgetExceeded(budget)
-            choice_lists.append(list(t.valuations()))
+    _require_within(table, budget)
+    choice_lists = [[t.values] if isinstance(t, StandardTuple) else list(t.valuations()) for t in table.tuples]
     # Per FD: binding -> [y-value, multiplicity] over the chosen rows.
     maps = [dict() for _ in fds]
     chosen = []
@@ -337,49 +374,23 @@ def check_seamless(
 # ---------------------------------------------------------------------------
 
 
-def find_pfd_violation(table: Table, fd: FunctionalDependency) -> Optional[Violation]:
-    """First (t1, t2, binding) in canonical order breaking answer-set equality."""
-    x_attrs = tuple(table.schema.restrict(fd.lhs).attributes)
-    y_attrs = tuple(table.schema.restrict(fd.rhs).attributes)
-    binds = [bindings(t, x_attrs) for t in table.tuples]
-    for i, t1 in enumerate(table.tuples):
-        for j in range(i, len(table.tuples)):
-            t2 = table.tuples[j]
-            for b in sorted(binds[i] & binds[j]):
-                a1 = answer_set(t1, x_attrs, b, y_attrs)
-                a2 = answer_set(t2, x_attrs, b, y_attrs)
-                if a1 != a2:
-                    return Violation("answer-sets-differ", (t1, t2), b)
-    return None
+def find_pfd_violation(
+    table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP
+) -> Optional[Violation]:
+    """First (t1, t2, binding) in canonical order breaking answer-set equality.
+
+    Linear in total lhs bindings; a tuple with more than `valuation_cap`
+    lhs bindings raises ValuationBudgetExceeded."""
+    x_pos, y_pos = _fd_positions(table.schema, fd)
+    return _first_disagreement(
+        table.tuples, lambda t: contributions(t, x_pos, y_pos, valuation_cap), "answer-sets-differ"
+    )
 
 
-def check_pfd(table: Table, fd: FunctionalDependency) -> bool:
+def check_pfd(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP) -> bool:
     """For any two tuples (identity included) and any shared lhs binding, the
-    selected rhs answer sets must coincide."""
-    return find_pfd_violation(table, fd) is None
-
-
-def check_pfd_decomposed(table: Table, fd: FunctionalDependency) -> bool:
-    """Vague-table fast path: split the rhs into single attributes outside the
-    lhs and require cell equality whenever the lhs cells can all agree.
-
-    Equivalent to `check_pfd` on vague tables; not valid for disjunctive ones.
-    """
-    if table.model is Model.DISJUNCTIVE:
-        raise ModelError("the decomposed check is sound for vague tables only")
-    x_pos = table.schema.positions(fd.lhs)
-    rest = sorted(fd.rhs - fd.lhs)
-    rest_pos = table.schema.positions(rest)
-
-    def cell(t, i):
-        return t.cells[i] if isinstance(t, VagueTuple) else frozenset((t.values[i],))
-
-    for i, t1 in enumerate(table.tuples):
-        for t2 in table.tuples[i + 1 :]:
-            if all(cell(t1, p) & cell(t2, p) for p in x_pos):
-                if any(cell(t1, p) != cell(t2, p) for p in rest_pos):
-                    return False
-    return True
+    selected rhs answer sets must coincide.  Linear in total lhs bindings."""
+    return find_pfd_violation(table, fd, valuation_cap) is None
 
 
 # ---------------------------------------------------------------------------
@@ -402,38 +413,36 @@ def _mvd_holds(rows, x_pos, z_pos) -> bool:
     return True
 
 
-def find_vertical_violation(table: Table, fd: FunctionalDependency) -> Optional[Violation]:
+def find_vertical_violation(
+    table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP
+) -> Optional[Violation]:
     """Three conditions over the disjunctive form: cross-tuple answer-set
     agreement, per-tuple product form on rhs-minus-lhs, and a per-tuple
-    multivalued dependency lhs ->> rhs-minus-lhs."""
-    dt = to_disjunctive(table)
-    x_attrs = tuple(dt.schema.restrict(fd.lhs).attributes)
-    rest = sorted(fd.rhs - fd.lhs)
-    x_pos = dt.schema.positions(fd.lhs)
-    rest_pos = dt.schema.positions(rest)
+    multivalued dependency lhs ->> rhs-minus-lhs.
 
+    Cost: linear in total valuations, plus the MVD test, quadratic in each
+    tuple's disjuncts.  A tuple with more than `valuation_cap` valuations
+    raises ValuationBudgetExceeded before the conversion."""
+    _require_within(table, valuation_cap)
+    dt = to_disjunctive(table)
     agreement = find_pfd_violation(dt, fd)
     if agreement is not None:
         return agreement
-
+    x_pos = dt.schema.positions(fd.lhs)
+    rest_pos = dt.schema.positions(fd.rhs - fd.lhs)
     for t in dt.tuples:
-        for b in sorted(bindings(t, x_attrs)):
-            selected = [row for row in sorted(t.disjuncts) if tuple(row[i] for i in x_pos) == b]
-            projected = {tuple(row[i] for i in rest_pos) for row in selected}
-            size = 1
-            for i in rest_pos:
-                size *= len({row[i] for row in selected})
-            if size != len(projected):
+        for b, projected in contributions(t, x_pos, rest_pos):
+            if math.prod(len({row[k] for row in projected}) for k in range(len(rest_pos))) != len(projected):
                 return Violation("not-a-product", (t,), b)
         if not _mvd_holds(t.disjuncts, x_pos, rest_pos):
             return Violation("mvd-fails", (t,))
     return None
 
 
-def check_vertical(table: Table, fd: FunctionalDependency) -> bool:
+def check_vertical(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP) -> bool:
     """Vertical satisfaction; vague and standard tables are converted to their
-    disjunctive form first."""
-    return find_vertical_violation(table, fd) is None
+    disjunctive form first.  Cost as `find_vertical_violation`."""
+    return find_vertical_violation(table, fd, valuation_cap) is None
 
 
 # ---------------------------------------------------------------------------
@@ -455,36 +464,42 @@ def resemblance(a: Iterable[str], b: Iterable[str], variant: str = MAX_RESEMBLAN
     return max(ratios) if variant == MAX_RESEMBLANCE else min(ratios)
 
 
+def _cells_resemblance(c1: tuple, c2: tuple, pos: tuple, variant: str) -> float:
+    """Minimum cell resemblance over positions `pos` (1.0 for none)."""
+    return min((resemblance(c1[i], c2[i], variant) for i in pos), default=1.0)
+
+
 def tuple_resemblance(t1, t2, attrs: Iterable[str], variant: str = MAX_RESEMBLANCE) -> float:
     """Minimum per-attribute resemblance over `attrs` (1.0 for no attributes)."""
     pos = t1.schema.positions(attrs)
-
-    def cell(t, i):
-        return t.cells[i] if isinstance(t, VagueTuple) else frozenset((t.values[i],))
-
     if isinstance(t1, DisjunctiveTuple) or isinstance(t2, DisjunctiveTuple):
         raise ModelError("tuple resemblance is defined for vague tuples")
-    return min((resemblance(cell(t1, i), cell(t2, i), variant) for i in pos), default=1.0)
+    return _cells_resemblance(_cells(t1), _cells(t2), pos, variant)
 
 
 def find_rm_violation(
     table: Table, fd: FunctionalDependency, variant: str = MAX_RESEMBLANCE
 ) -> Optional[Violation]:
+    """First pair in canonical order whose rhs resemblance drops below its lhs
+    resemblance.  Cost: quadratic in tuples, O(|X|+|Y|) per pair; the rhs is
+    skipped when the lhs cells are disjoint (lhs resemblance 0)."""
     if table.model is Model.DISJUNCTIVE:
         raise ModelError("rm satisfaction is defined over vague tables only")
-    for i, t1 in enumerate(table.tuples):
-        for t2 in table.tuples[i:]:
-            mx = tuple_resemblance(t1, t2, fd.lhs, variant)
-            my = tuple_resemblance(t1, t2, fd.rhs, variant)
-            if my < mx:
-                return Violation(
-                    "resemblance-drops", (t1, t2), note=f"lhs={mx:.6g} rhs={my:.6g}"
-                )
+    x_pos, y_pos = _fd_positions(table.schema, fd)
+    tuples = table.tuples
+    cells = [_cells(t) for t in tuples]
+    # Identity pairs score 1 on both sides, so they can never violate.
+    for i, c1 in enumerate(cells):
+        for j in range(i + 1, len(cells)):
+            mx = _cells_resemblance(c1, cells[j], x_pos, variant)
+            if mx and (my := _cells_resemblance(c1, cells[j], y_pos, variant)) < mx:
+                return Violation("resemblance-drops", (tuples[i], tuples[j]), note=f"lhs={mx:.6g} rhs={my:.6g}")
     return None
 
 
 def check_rm(table: Table, fd: FunctionalDependency, variant: str = MAX_RESEMBLANCE) -> bool:
-    """Resemblance of the rhs never drops below the resemblance of the lhs."""
+    """Resemblance of the rhs never drops below the resemblance of the lhs.
+    Quadratic in tuples."""
     return find_rm_violation(table, fd, variant) is None
 
 
@@ -557,10 +572,13 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
+# Per-FD finders, all called as finder(table, fd, valuation_cap).
 _FINDERS = {
+    Semantics.STANDARD: lambda table, fd, cap: find_standard_violation(table, fd),
+    Semantics.STRONG: find_strong_violation,
     Semantics.PFD: find_pfd_violation,
     Semantics.VERTICAL: find_vertical_violation,
-    Semantics.RM: find_rm_violation,
+    Semantics.RM: lambda table, fd, cap: find_rm_violation(table, fd),
 }
 
 
@@ -584,14 +602,6 @@ def check(
         report.verdicts.append(
             FdVerdict(None, semantics, witness is not None, witness=witness, fds=tuple(fds))
         )
-    elif semantics is Semantics.STANDARD:
-        for fd in fds:
-            v = find_standard_violation(table, fd)
-            report.verdicts.append(FdVerdict(fd, semantics, v is None, violation=v))
-    elif semantics is Semantics.STRONG:
-        for fd in fds:
-            v = find_strong_violation(table, fd, valuation_cap)
-            report.verdicts.append(FdVerdict(fd, semantics, v is None, violation=v))
     elif semantics is Semantics.WEAK:
         for fd in fds:
             holds = check_weak(table, fd, valuation_cap)
@@ -599,7 +609,7 @@ def check(
     else:
         finder = _FINDERS[semantics]
         for fd in fds:
-            v = finder(table, fd)
+            v = finder(table, fd, valuation_cap)
             report.verdicts.append(FdVerdict(fd, semantics, v is None, violation=v))
 
     report.elapsed_s = time.perf_counter() - start

@@ -170,6 +170,52 @@ class TestCliCheck:
             "--semantics", "strong",
         ) == 2
 
+    def test_explicit_cap_overrides_env(self, monkeypatch):
+        monkeypatch.setenv("FDLAB_WORLD_CAP", "1")
+        assert run_cli(
+            "check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(DATA / "chain.fds"),
+            "--semantics", "strong", "--cap", "1000",
+        ) == 1
+
+    @pytest.mark.parametrize("cap", ["0", "-3", "many"])
+    def test_cap_must_be_a_positive_integer(self, cap, capsys):
+        assert run_cli(
+            "check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(DATA / "chain.fds"),
+            "--semantics", "strong", "--cap", cap,
+        ) == 2
+        assert "--cap" in capsys.readouterr().err
+
+    def test_env_cap_below_one_is_an_error(self, monkeypatch):
+        monkeypatch.setenv("FDLAB_WORLD_CAP", "0")
+        assert run_cli(
+            "check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(DATA / "chain.fds"),
+            "--semantics", "strong",
+        ) == 2
+
+    def test_json_like_format_is_gone(self):
+        assert run_cli(
+            "check", "--table", str(DATA / "joejack.vtab"), "--fds", str(DATA / "joejack.fds"),
+            "--semantics", "pfd", "--format", "json-like",
+        ) == 2
+
+    def test_pfd_binding_product_over_the_cap_exits_two(self, tmp_path, capsys):
+        # Two tuples, 8 lhs attributes of 8 candidates each: 8^8 bindings apiece.
+        cell = "{" + "|".join(f"v{i}" for i in range(8)) + "}"
+        attrs = [f"A{i}" for i in range(8)]
+        table = tmp_path / "wide.vtab"
+        table.write_text(",".join(attrs + ["B"]) + "\n" + "\n".join(",".join([cell] * 8 + [b]) for b in "xy") + "\n")
+        deps = tmp_path / "wide.fds"
+        deps.write_text(" ".join(attrs) + " -> B\n")
+        assert run_cli("check", "--table", str(table), "--fds", str(deps), "--semantics", "pfd") == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_cap_bounds_pfd_and_vertical(self):
+        for sem in ("pfd", "vertical"):
+            assert run_cli(
+                "check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(DATA / "chain.fds"),
+                "--semantics", sem, "--cap", "1",
+            ) == 2
+
 
 class TestCliValuate:
     def test_worked_example(self, tmp_path):

@@ -10,6 +10,7 @@ from fdlab import (
     PfdIndex,
     PfdRejected,
     Schema,
+    SchemaError,
     Table,
     VagueTuple,
     check_pfd,
@@ -78,6 +79,15 @@ class TestBasics:
         idx.insert(t)
         ((_, (answers, _)),) = idx.entries().items()
         assert answers == frozenset({("John", "Jill"), ("John", "Bob")})
+
+    def test_tuple_of_another_schema_rejected(self):
+        # In attribute order C,A the binding (c, a) would miss the stored (a, c)
+        # entry, so a conflicting tuple would slip in.
+        idx = PfdIndex(fd("A C", "B"), Schema(("A", "C", "B")))
+        idx.insert(VagueTuple(idx.schema, ("a", "c", "b1")))
+        with pytest.raises(SchemaError):
+            idx.insert(VagueTuple(Schema(("C", "A", "B")), ("c", "a", "b2")))
+        assert len(idx) == 1
 
 
 class TestRemove:

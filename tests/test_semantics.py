@@ -16,7 +16,6 @@ from fdlab import (
     VagueTuple,
     check,
     check_pfd,
-    check_pfd_decomposed,
     check_rm,
     check_seamless,
     check_standard,
@@ -32,6 +31,7 @@ from fdlab import (
 from fdlab.semantics import find_pfd_violation
 
 import tables as T
+from oracles import check_pfd_decomposed
 from tables import fd
 from gen import rand_disjunctive_table, rand_fd, rand_vague_table
 
@@ -160,10 +160,6 @@ class TestPfd:
             t = rand_vague_table(rng)
             f = rand_fd(rng, t.schema.attributes)
             assert check_pfd(t, f) == check_pfd_decomposed(t, f)
-
-    def test_decomposed_rejects_disjunctive(self):
-        with pytest.raises(ModelError):
-            check_pfd_decomposed(T.NO_JOINT_WORLD, T.AB)
 
     def test_pfd_independent_of_irrelevant_attributes(self):
         rng = random.Random(2)
