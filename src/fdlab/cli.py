@@ -1,11 +1,12 @@
 """Command-line surface: check, valuate, worlds, closure, gen3dm, bench.
 
 Exit codes: 0 every dependency satisfied (or witness found), 1 a dependency
-violated or no witness exists, 2 usage, parse, model, or budget errors.
-`check --cap N` sets the valuation cap: worlds for strong/weak, search steps
-for seamless, lhs bindings per tuple for pfd, valuations per tuple for
-vertical.  Without --cap the FDLAB_WORLD_CAP environment variable sets it,
-else the default of 1,000,000 applies.  A cap below 1 is a usage error.
+violated or no witness exists, 2 usage, parse, model, or budget errors, and
+any unexpected error (its traceback goes to stderr).  `check --cap N` sets
+the valuation cap: lhs bindings per tuple for pfd and strong, search steps
+for seamless and weak, valuations per tuple for vertical.  Without --cap the
+FDLAB_WORLD_CAP environment variable sets it, else the default of 1,000,000
+applies.  A cap below 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -218,11 +219,15 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.run(args)
-    except FdlabError as exc:
+    except (FdlabError, OSError) as exc:
         sys.stderr.write(f"fdlab: {exc}\n")
         return EXIT_ERROR
-    except OSError as exc:
-        sys.stderr.write(f"fdlab: {exc}\n")
+    except Exception:
+        # A crash must not exit 1, which reads as "violated".  traceback is
+        # imported here so that start-up does not pay for it.
+        import traceback
+
+        traceback.print_exc()
         return EXIT_ERROR
 
 

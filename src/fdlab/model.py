@@ -321,29 +321,17 @@ def tuple_intersection(t1: AnyTuple, t2: AnyTuple) -> Optional[AnyTuple]:
     return DisjunctiveTuple(t1.schema, common)
 
 
-def iter_valuation_worlds(table: Table) -> Iterator[Table]:
-    """Every valuation's world, in deterministic order, duplicates included.
-
-    One world is yielded per valuation; distinct valuations may yield equal
-    worlds.  Standard tables have exactly one valuation: themselves.
-    """
-    if table.model is Model.STANDARD:
-        yield table
-        return
-    choice_lists = [list(t.valuations()) for t in table.tuples]
-    for combo in itertools.product(*choice_lists):
-        yield Table.standard(table.schema, combo)
-
-
 def enumerate_worlds(table: Table, limit: Optional[int] = None) -> list:
-    """All distinct possible worlds, canonically ordered.
+    """All distinct possible worlds, canonically ordered: one per valuation
+    of the table, with equal worlds collapsed.
 
     Raises WorldLimitExceeded as soon as the number of distinct worlds passes
     `limit`.
     """
     seen = set()
-    for world in iter_valuation_worlds(table):
-        seen.add(world)
+    choices = ([t.values] if isinstance(t, StandardTuple) else t.valuations() for t in table.tuples)
+    for combo in itertools.product(*choices):
+        seen.add(Table.standard(table.schema, combo))
         if limit is not None and len(seen) > limit:
             raise WorldLimitExceeded(limit)
     return sorted(seen, key=lambda w: tuple(t.sort_key() for t in w.tuples))

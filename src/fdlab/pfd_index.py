@@ -69,21 +69,25 @@ class PfdIndex:
             raise SchemaError(f"tuple schema {t.schema.attributes} differs from index schema {self.schema.attributes}")
         return contributions(t, *self._positions)
 
-    def check(self, t) -> Optional[Conflict]:
-        """Would `insert` reject this tuple?  Never mutates."""
-        for b, answers in self._contributions(t):
-            entry = self._entries.get(b)
-            if entry is not None and entry.answers != answers:
-                return Conflict(b, entry.answers, answers)
-        return None
-
-    def insert(self, t) -> None:
-        """Accept or raise PfdRejected; rejection leaves the index unchanged."""
+    def _scan(self, t) -> tuple:
+        """The tuple's contributions and its first conflict with a stored
+        entry (None if there is none)."""
         contributions = self._contributions(t)
         for b, answers in contributions:
             entry = self._entries.get(b)
             if entry is not None and entry.answers != answers:
-                raise PfdRejected(b, entry.answers, answers)
+                return contributions, Conflict(b, entry.answers, answers)
+        return contributions, None
+
+    def check(self, t) -> Optional[Conflict]:
+        """Would `insert` reject this tuple?  Never mutates."""
+        return self._scan(t)[1]
+
+    def insert(self, t) -> None:
+        """Accept or raise PfdRejected; rejection leaves the index unchanged."""
+        contributions, conflict = self._scan(t)
+        if conflict is not None:
+            raise PfdRejected(conflict.binding, conflict.stored, conflict.offered)
         for b, answers in contributions:
             entry = self._entries.get(b)
             if entry is None:

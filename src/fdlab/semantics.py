@@ -14,13 +14,16 @@ Six interpretations are supported:
 
 Seamless satisfaction (one world satisfying a whole FD set at once) is a
 set-level check and is exposed as `check_seamless`.  Checking it is
-NP-complete, so it carries a search budget.  The standard, pfd and vertical
-checks share one core: `contributions` (a tuple's binding -> answer set
-pairs) and `_first_disagreement` (one hash pass over them).
+NP-complete, so it carries a search budget; weak is seamless satisfaction of
+a one-FD set.  The standard, strong, pfd and vertical checks share one core:
+`contributions` (a tuple's binding -> answer set pairs) and
+`_first_disagreement` (one hash pass over them).  No checker enumerates
+possible worlds.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
@@ -35,7 +38,6 @@ from .model import (
     StandardTuple,
     Table,
     VagueTuple,
-    iter_valuation_worlds,
     to_disjunctive,
 )
 
@@ -195,20 +197,6 @@ class Violation:
 # ---------------------------------------------------------------------------
 
 
-def _world_rows_violate(rows, x_pos, y_pos):
-    """First (u1, u2) in row order with equal X but different Y, else None."""
-    seen = {}
-    for row in rows:
-        key = tuple(row[i] for i in x_pos)
-        val = tuple(row[i] for i in y_pos)
-        if key in seen:
-            if seen[key][0] != val:
-                return seen[key][1], row
-        else:
-            seen[key] = (val, row)
-    return None
-
-
 def _fd_positions(schema, fd: FunctionalDependency):
     return schema.positions(fd.lhs), schema.positions(fd.rhs)
 
@@ -234,53 +222,62 @@ def _require_within(table: Table, cap: int) -> None:
             raise ValuationBudgetExceeded(cap)
 
 
-def _capped_worlds(table: Table, cap: int):
-    """Valuation worlds in deterministic order; raises once `cap` valuations
-    have been consumed without the caller settling on an answer."""
-    _require_within(table, cap)
-    count = 0
-    for world in iter_valuation_worlds(table):
-        count += 1
-        if count > cap:
-            raise ValuationBudgetExceeded(cap)
-        yield world
-
-
-def check_strong(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP) -> bool:
-    """True iff every possible world satisfies the FD standardly.
-
-    Cost: one linear pass per world, and the worlds multiply out over the
-    tuples' valuations (capped at `valuation_cap`)."""
-    return find_strong_violation(table, fd, valuation_cap) is None
+def _least_valuation(t, x_pos: tuple, binding: tuple, y_pos: tuple, avoid: Optional[tuple] = None):
+    """The least valuation row of `t` with X = binding whose Y projection is
+    not `avoid`, or None.  A vague tuple's cells outside X and Y take their
+    least value, so at most two rows of its Y product are visited."""
+    if isinstance(t, DisjunctiveTuple):
+        rows = sorted(t.disjuncts)
+    else:
+        bound = dict(zip(x_pos, binding))
+        rows = itertools.product(*(
+            (bound[p],) if p in bound else sorted(c) if p in y_pos else (min(c),) for p, c in enumerate(_cells(t))
+        ))
+    return next((row for row in rows if tuple(row[i] for i in x_pos) == binding
+                 and tuple(row[i] for i in y_pos) != avoid), None)
 
 
 def find_strong_violation(
     table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP
 ) -> Optional[Violation]:
-    """First violating world (in valuation order) with its offending row pair.
-    Cost as `check_strong`."""
+    """Least (t1, t2, binding) such that some world gives the two tuples
+    different rhs rows under the binding, witnessed by the least such pair of
+    valuations.
+
+    Valuations are independent per tuple, so a world violates the FD iff two
+    distinct tuples share an lhs binding and their answer sets are not one and
+    the same single row.  A larger answer set is replaced by a stand-in equal
+    to nothing else, which turns that test into `_first_disagreement`'s.
+    Linear in total lhs bindings; a tuple with more than `valuation_cap` lhs
+    bindings raises ValuationBudgetExceeded."""
     x_pos, y_pos = _fd_positions(table.schema, fd)
-    for world in _capped_worlds(table, valuation_cap):
-        hit = _world_rows_violate((t.values for t in world.tuples), x_pos, y_pos)
-        if hit is not None:
-            u1, u2 = (StandardTuple(table.schema, r) for r in hit)
-            return Violation(
-                "world-pair-disagrees",
-                (u1, u2),
-                tuple(u1.values[p] for p in x_pos),
-                note="in world: " + "; ".join(t.render() for t in world.tuples),
-            )
-    return None
+
+    def pairs_of(t):
+        return [(b, answers if len(answers) == 1 else object())
+                for b, answers in contributions(t, x_pos, y_pos, valuation_cap)]
+
+    hit = _first_disagreement(table.tuples, pairs_of, "world-pair-disagrees")
+    if hit is None:
+        return None
+    (t1, t2), b = hit.tuples, hit.binding
+    u1 = _least_valuation(t1, x_pos, b, y_pos)
+    u2 = _least_valuation(t2, x_pos, b, y_pos, avoid=tuple(u1[i] for i in y_pos))
+    if u2 is None:  # t2's only rhs row under b is u1's
+        u2 = _least_valuation(t2, x_pos, b, y_pos)
+        u1 = _least_valuation(t1, x_pos, b, y_pos, avoid=tuple(u2[i] for i in y_pos))
+    return Violation(hit.reason, (StandardTuple(table.schema, u1), StandardTuple(table.schema, u2)), b)
+
+
+def check_strong(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP) -> bool:
+    """True iff every possible world satisfies the FD standardly.  Cost as
+    `find_strong_violation`."""
+    return find_strong_violation(table, fd, valuation_cap) is None
 
 
 def check_weak(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP) -> bool:
-    """True iff some possible world satisfies the FD standardly.  Cost as
-    `check_strong`: exponential in ambiguous tuples, capped."""
-    x_pos, y_pos = _fd_positions(table.schema, fd)
-    for world in _capped_worlds(table, valuation_cap):
-        if _world_rows_violate((t.values for t in world.tuples), x_pos, y_pos) is None:
-            return True
-    return False
+    """True iff some possible world satisfies the FD standardly: seamless
+    satisfaction of the one-FD set.  Cost as `check_seamless`."""
+    return check_seamless(table, [fd], valuation_cap) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +292,14 @@ def check_seamless(
 ) -> Optional[Table]:
     """A world satisfying every FD in the set at once, or None.
 
-    Exhaustive backtracking over per-tuple valuations.  At every node the
-    still-unassigned tuple with the fewest valuations compatible with the
-    choices so far is branched on (fail-first), and a partial valuation is
-    abandoned as soon as some tuple has no compatible valuation left.  Raises
-    ValuationBudgetExceeded after `budget` candidate extensions.  Cost:
-    exponential in tuples in the worst case (the problem is NP-complete).
+    Exhaustive backtracking over per-tuple valuations, kept on an explicit
+    stack so that its depth is not bounded by the interpreter's.  At every
+    node the still-unassigned tuple with the fewest valuations compatible with
+    the choices so far is branched on (fail-first, the lowest index on ties),
+    and a partial valuation is abandoned as soon as some tuple has no
+    compatible valuation left.  Raises ValuationBudgetExceeded after `budget`
+    candidate extensions.  Cost: exponential in tuples in the worst case (the
+    problem is NP-complete).
     """
     fds = list(fds)
     positions = [_fd_positions(table.schema, fd) for fd in fds]
@@ -309,7 +308,7 @@ def check_seamless(
     # Per FD: binding -> [y-value, multiplicity] over the chosen rows.
     maps = [dict() for _ in fds]
     chosen = []
-    unassigned = set(range(len(choice_lists)))
+    unassigned = list(range(len(choice_lists)))  # kept sorted
     attempts = 0
 
     def compatible(row) -> bool:
@@ -329,8 +328,8 @@ def check_seamless(
                 slot[1] += 1
         chosen.append(row)
 
-    def pop(row):
-        chosen.pop()
+    def pop():
+        row = chosen.pop()
         for m, (x_pos, _) in zip(maps, positions):
             key = tuple(row[i] for i in x_pos)
             slot = m[key]
@@ -338,35 +337,42 @@ def check_seamless(
             if slot[1] == 0:
                 del m[key]
 
-    def search() -> bool:
-        nonlocal attempts
-        if not unassigned:
-            return True
+    def branch():
+        """(tuple index, compatible rows) to branch on, or None at a dead end."""
         best = None
-        best_rows = None
-        for i in sorted(unassigned):
+        for i in unassigned:
             rows = [r for r in choice_lists[i] if compatible(r)]
             if not rows:
-                return False
-            if best_rows is None or len(rows) < len(best_rows):
-                best, best_rows = i, rows
+                return None
+            if best is None or len(rows) < len(best[1]):
+                best = i, rows
                 if len(rows) == 1:
                     break
-        unassigned.remove(best)
-        for row in best_rows:
-            attempts += 1
-            if attempts > budget:
-                raise ValuationBudgetExceeded(budget)
-            push(row)
-            if search():
-                return True
-            pop(row)
-        unassigned.add(best)
-        return False
+        return best
 
-    if search():
-        return Table.standard(table.schema, chosen)
-    return None
+    # One frame per branched tuple: (tuple index, its untried rows).  Every
+    # frame but a freshly opened one has its current row pushed, so a top
+    # frame with as many rows chosen as frames open has hit a dead end.
+    stack = []
+    while unassigned:
+        node = branch()
+        if node is not None:
+            del unassigned[bisect.bisect_left(unassigned, node[0])]
+            stack.append((node[0], iter(node[1])))
+        while stack:
+            if len(chosen) == len(stack):
+                pop()
+            row = next(stack[-1][1], None)
+            if row is not None:
+                break
+            bisect.insort(unassigned, stack.pop()[0])
+        else:
+            return None
+        attempts += 1
+        if attempts > budget:
+            raise ValuationBudgetExceeded(budget)
+        push(row)
+    return Table.standard(table.schema, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +404,14 @@ def check_pfd(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAU
 # ---------------------------------------------------------------------------
 
 
-def _mvd_holds(rows, x_pos, z_pos) -> bool:
-    """X ->> Z over a small relation given as a set of value rows."""
-    rows = set(rows)
-    for u in rows:
-        for v in rows:
-            if tuple(u[i] for i in x_pos) != tuple(v[i] for i in x_pos):
-                continue
-            swap = list(v)
-            for i in z_pos:
-                swap[i] = u[i]
-            if tuple(swap) not in rows:
-                return False
-    return True
+def _mvd_holds(t, x_pos: tuple, z_pos: tuple) -> bool:
+    """X ->> Z within one disjunctive tuple.  Under each lhs binding the rows
+    must be the product of their Z and rest projections; the rows number at
+    most the product of the two projections' sizes, with equality exactly
+    then.  Linear in disjuncts."""
+    w_pos = tuple(p for p in range(len(t.schema)) if p not in x_pos and p not in z_pos)
+    per_binding = zip(*(contributions(t, x_pos, pos) for pos in (z_pos, w_pos, z_pos + w_pos)))
+    return all(len(z) * len(w) == len(zw) for (_, z), (_, w), (_, zw) in per_binding)
 
 
 def find_vertical_violation(
@@ -420,9 +421,9 @@ def find_vertical_violation(
     agreement, per-tuple product form on rhs-minus-lhs, and a per-tuple
     multivalued dependency lhs ->> rhs-minus-lhs.
 
-    Cost: linear in total valuations, plus the MVD test, quadratic in each
-    tuple's disjuncts.  A tuple with more than `valuation_cap` valuations
-    raises ValuationBudgetExceeded before the conversion."""
+    Cost: linear in total valuations.  A tuple with more than
+    `valuation_cap` valuations raises ValuationBudgetExceeded before the
+    conversion."""
     _require_within(table, valuation_cap)
     dt = to_disjunctive(table)
     agreement = find_pfd_violation(dt, fd)
@@ -434,7 +435,7 @@ def find_vertical_violation(
         for b, projected in contributions(t, x_pos, rest_pos):
             if math.prod(len({row[k] for row in projected}) for k in range(len(rest_pos))) != len(projected):
                 return Violation("not-a-product", (t,), b)
-        if not _mvd_holds(t.disjuncts, x_pos, rest_pos):
+        if not _mvd_holds(t, x_pos, rest_pos):
             return Violation("mvd-fails", (t,))
     return None
 
@@ -527,7 +528,7 @@ class FdVerdict:
 
 @dataclass
 class CheckReport:
-    """Per-FD verdicts plus, for seamless runs, the witness world if any."""
+    """Per-FD verdicts plus, for seamless and weak runs, the witness world if any."""
 
     model: Model
     semantics: Semantics
@@ -604,8 +605,8 @@ def check(
         )
     elif semantics is Semantics.WEAK:
         for fd in fds:
-            holds = check_weak(table, fd, valuation_cap)
-            report.verdicts.append(FdVerdict(fd, semantics, holds))
+            witness = check_seamless(table, [fd], budget=valuation_cap)
+            report.verdicts.append(FdVerdict(fd, semantics, witness is not None, witness=witness))
     else:
         finder = _FINDERS[semantics]
         for fd in fds:

@@ -1,16 +1,19 @@
-"""Definitional (pairwise) checkers, kept as test oracles for the fast paths.
+"""Definitional checkers, kept as test oracles for the fast paths.
 
 Each function follows its definition literally: every pair of tuples in
-canonical order, identity pairs included, and every shared lhs binding.  The
-library's finders must return the same `Violation` (reason, pair, binding,
-note) while doing linear or hoisted work.
+canonical order, identity pairs included, and every shared lhs binding; or,
+for strong and weak, every possible world.  The library's pairwise finders
+must return the same `Violation` (reason, pair, binding, note) while doing
+linear or hoisted work; strong and weak must return the same verdicts.
 """
 
 import itertools
 
-from fdlab import DisjunctiveTuple, Model, ModelError, StandardTuple, VagueTuple, resemblance
+from fdlab import (
+    DisjunctiveTuple, Model, ModelError, StandardTuple, Table, VagueTuple, ValuationBudgetExceeded, resemblance,
+)
 from fdlab.model import to_disjunctive
-from fdlab.semantics import MAX_RESEMBLANCE, Violation, _mvd_holds
+from fdlab.semantics import DEFAULT_VALUATION_CAP, MAX_RESEMBLANCE, Violation, _require_within
 
 
 def _cell(t, i):
@@ -79,6 +82,21 @@ def find_pfd_violation(table, fd):
     return None
 
 
+def _mvd_holds(rows, x_pos, z_pos) -> bool:
+    """X ->> Z over a small relation given as a set of value rows."""
+    rows = set(rows)
+    for u in rows:
+        for v in rows:
+            if tuple(u[i] for i in x_pos) != tuple(v[i] for i in x_pos):
+                continue
+            swap = list(v)
+            for i in z_pos:
+                swap[i] = u[i]
+            if tuple(swap) not in rows:
+                return False
+    return True
+
+
 def find_vertical_violation(table, fd):
     """Pairwise agreement, then per-binding product form, then the per-tuple MVD."""
     dt = to_disjunctive(table)
@@ -131,3 +149,53 @@ def check_pfd_decomposed(table, fd) -> bool:
                 if any(_cell(t1, p) != _cell(t2, p) for p in rest_pos):
                     return False
     return True
+
+
+def _world_rows_violate(rows, x_pos, y_pos):
+    """First (u1, u2) in row order with equal X but different Y, else None."""
+    seen = {}
+    for row in rows:
+        key = tuple(row[i] for i in x_pos)
+        val = tuple(row[i] for i in y_pos)
+        if key in seen:
+            if seen[key][0] != val:
+                return seen[key][1], row
+        else:
+            seen[key] = (val, row)
+    return None
+
+
+def _capped_worlds(table, cap):
+    """Valuation worlds in deterministic order; raises once `cap` valuations
+    have been consumed without the caller settling on an answer."""
+    _require_within(table, cap)
+    choices = [[t.values] if isinstance(t, StandardTuple) else list(t.valuations()) for t in table.tuples]
+    for count, combo in enumerate(itertools.product(*choices), start=1):
+        if count > cap:
+            raise ValuationBudgetExceeded(cap)
+        yield Table.standard(table.schema, combo)
+
+
+def find_strong_violation(table, fd, valuation_cap=DEFAULT_VALUATION_CAP):
+    """First violating world (in valuation order) with its offending row pair."""
+    x_pos, y_pos = table.schema.positions(fd.lhs), table.schema.positions(fd.rhs)
+    for world in _capped_worlds(table, valuation_cap):
+        hit = _world_rows_violate((t.values for t in world.tuples), x_pos, y_pos)
+        if hit is not None:
+            u1, u2 = (StandardTuple(table.schema, r) for r in hit)
+            return Violation(
+                "world-pair-disagrees",
+                (u1, u2),
+                tuple(u1.values[p] for p in x_pos),
+                note="in world: " + "; ".join(t.render() for t in world.tuples),
+            )
+    return None
+
+
+def check_weak(table, fd, valuation_cap=DEFAULT_VALUATION_CAP) -> bool:
+    """True iff some possible world satisfies the FD standardly."""
+    x_pos, y_pos = table.schema.positions(fd.lhs), table.schema.positions(fd.rhs)
+    for world in _capped_worlds(table, valuation_cap):
+        if _world_rows_violate((t.values for t in world.tuples), x_pos, y_pos) is None:
+            return True
+    return False

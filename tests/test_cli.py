@@ -157,6 +157,18 @@ class TestCliCheck:
     def test_usage_error_exits_two(self, capsys):
         assert run_cli("check", "--table", "x") == 2
 
+    def test_crash_exits_two_with_traceback(self, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RuntimeError("checker bug")
+
+        monkeypatch.setattr("fdlab.cli.check", crash)
+        assert run_cli(
+            "check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(DATA / "chain.fds"),
+            "--semantics", "weak",
+        ) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: checker bug" in err
+
     def test_inapplicable_semantics_exits_two(self):
         assert run_cli(
             "check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(DATA / "chain.fds"),

@@ -1,14 +1,16 @@
-"""The hash-linear finders agree with their pairwise definitions."""
+"""The hash-linear finders agree with their pairwise definitions, and strong
+and weak agree with their possible-world definitions."""
 
 import random
 
 import pytest
 
-from fdlab import FunctionalDependency, PfdIndex, Table, ValuationBudgetExceeded
+from fdlab import FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, check_weak
 from fdlab.semantics import (
     _fd_positions,
     answer_set,
     contributions,
+    find_strong_violation,
     find_pfd_violation,
     find_rm_violation,
     find_standard_violation,
@@ -21,10 +23,10 @@ from gen import rand_disjunctive_table, rand_fd, rand_standard_table, rand_vague
 GENERATORS = (rand_standard_table, rand_vague_table, rand_disjunctive_table)
 
 
-def random_cases(seed, count=600):
+def random_cases(seed, count=600, max_tuples=7):
     rng = random.Random(seed)
     for k in range(count):
-        table = GENERATORS[k % 3](rng, max_attrs=4, max_tuples=7)
+        table = GENERATORS[k % 3](rng, max_attrs=4, max_tuples=max_tuples)
         yield table, rand_fd(rng, table.schema.attributes)
 
 
@@ -41,6 +43,30 @@ def test_finders_return_the_oracles_violations():
             for variant in ("max", "min"):
                 assert find_rm_violation(table, f, variant) == O.find_rm_violation(table, f, variant)
     assert violated > 100  # enough violations that witnesses, not only verdicts, get compared
+
+
+def _valuations(t) -> set:
+    return {t.values} if isinstance(t, StandardTuple) else set(t.valuations())
+
+
+def test_strong_and_weak_return_the_world_oracles_verdicts():
+    violated = weak_fails = 0
+    for table, f in random_cases(13, max_tuples=5):
+        v = find_strong_violation(table, f)
+        assert (v is None) == (O.find_strong_violation(table, f) is None)
+        assert check_weak(table, f) == O.check_weak(table, f)
+        weak_fails += not O.check_weak(table, f)
+        if v is None:
+            continue
+        violated += 1
+        # Two valuations of distinct input tuples, equal to the binding on X, different on Y.
+        x_pos, y_pos = _fd_positions(table.schema, f)
+        u1, u2 = (u.values for u in v.tuples)
+        holders = [[t for t in table.tuples if u in _valuations(t)] for u in (u1, u2)]
+        assert any(t1 != t2 for t1 in holders[0] for t2 in holders[1])
+        assert tuple(u1[i] for i in x_pos) == v.binding == tuple(u2[i] for i in x_pos)
+        assert tuple(u1[i] for i in y_pos) != tuple(u2[i] for i in y_pos)
+    assert violated > 100 and weak_fails > 20
 
 
 def test_contributions_follow_the_definition():

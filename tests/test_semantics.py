@@ -1,6 +1,7 @@
 """Checker semantics: worked-table verdicts, selection, resemblance, dispatcher."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,7 +105,7 @@ class TestStrongWeak:
     def test_budget_error_is_distinct(self):
         r = Table.vague(["A"], [({"a", "b"},), ({"c", "d"},)])
         with pytest.raises(ValuationBudgetExceeded):
-            check_strong(r, fd("A", "A"), valuation_cap=3)
+            check_strong(r, fd("A", "A"), valuation_cap=1)
 
 
 class TestSeamless:
@@ -124,6 +125,12 @@ class TestSeamless:
         r = Table.vague(["A"], [(frozenset({"a", "b", "c"}),) for _ in range(3)])
         with pytest.raises(ValuationBudgetExceeded):
             check_seamless(r, [fd("A", "A")], budget=2)
+
+    def test_search_depth_is_not_bounded_by_the_stack(self):
+        # One search level per tuple: a recursive search overflows here.
+        r = Table.standard(["A", "B"], [(f"a{i:05d}", f"b{i % 50}") for i in range(1_500)])
+        assert check_seamless(r, [T.AB]) == r
+        assert check_weak(r, T.AB)
 
 
 class TestPfd:
@@ -196,6 +203,14 @@ class TestVertical:
             f = rand_fd(rng, t.schema.attributes)
             if check_vertical(t, f):
                 assert check_pfd(t, f)
+
+    def test_wide_vague_tuple_is_checked_in_linear_time(self):
+        # 8^4 = 4,096 valuations; a pairwise MVD test takes tens of seconds.
+        r = Table.vague(["A", "B", "C", "D"], [[{f"v{i}" for i in range(8)}] * 4])
+        start = time.perf_counter()
+        assert check_vertical(r, T.AB)
+        assert check_vertical(r, fd("A", "B D"))
+        assert time.perf_counter() - start < 5
 
     def test_vertical_known_discrepancy_on_ssn_table(self):
         # Known discrepancy: evaluated literally, all three conditions hold
