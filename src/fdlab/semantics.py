@@ -297,7 +297,9 @@ def check_seamless(
     node the still-unassigned tuple with the fewest valuations compatible with
     the choices so far is branched on (fail-first, the lowest index on ties),
     and a partial valuation is abandoned as soon as some tuple has no
-    compatible valuation left.  Raises ValuationBudgetExceeded after `budget`
+    compatible valuation left.  After the first dead end, a row is no longer
+    tried when it gives a binding an rhs value that a tuple with that single
+    lhs binding cannot take.  Raises ValuationBudgetExceeded after `budget`
     candidate extensions.  Cost: exponential in tuples in the worst case (the
     problem is NP-complete).
     """
@@ -310,6 +312,29 @@ def check_seamless(
     chosen = []
     unassigned = list(range(len(choice_lists)))  # kept sorted
     attempts = 0
+    # Per FD: binding -> the rhs values allowed by every tuple whose
+    # valuations all carry that binding.  Any world gives such a tuple one of
+    # them, so a row giving the binding another rhs value leads only to dead
+    # ends and is not tried.  Filled at the first dead end, so a search that
+    # never backtracks does not pay for it.
+    allowed = []
+
+    def fill_allowed():
+        for x_pos, y_pos in positions:
+            a = {}
+            for t in table.tuples:
+                pairs = contributions(t, x_pos, y_pos, budget)
+                if len(pairs) == 1:
+                    key, ys = pairs[0]
+                    a[key] = a[key] & ys if key in a else ys
+            allowed.append(a)
+
+    def viable(row) -> bool:
+        for a, (x_pos, y_pos) in zip(allowed, positions):
+            ys = a.get(tuple(row[i] for i in x_pos))
+            if ys is not None and tuple(row[i] for i in y_pos) not in ys:
+                return False
+        return True
 
     def compatible(row) -> bool:
         for m, (x_pos, y_pos) in zip(maps, positions):
@@ -343,6 +368,8 @@ def check_seamless(
         for i in unassigned:
             rows = [r for r in choice_lists[i] if compatible(r)]
             if not rows:
+                if not allowed:
+                    fill_allowed()
                 return None
             if best is None or len(rows) < len(best[1]):
                 best = i, rows
@@ -358,7 +385,7 @@ def check_seamless(
         node = branch()
         if node is not None:
             del unassigned[bisect.bisect_left(unassigned, node[0])]
-            stack.append((node[0], iter(node[1])))
+            stack.append((node[0], filter(viable, node[1])))
         while stack:
             if len(chosen) == len(stack):
                 pop()

@@ -199,3 +199,44 @@ def check_weak(table, fd, valuation_cap=DEFAULT_VALUATION_CAP) -> bool:
         if _world_rows_violate((t.values for t in world.tuples), x_pos, y_pos) is None:
             return True
     return False
+
+
+def seamless_world(table, fds):
+    """Fail-first backtracking without pruning: at every node, the lowest
+    tuple with the fewest valuations compatible with the rows chosen so far
+    (stopping at the first with one, failing at the first with none), its
+    rows tried in valuation order.  The library's search must return the
+    same world."""
+    positions = [(table.schema.positions(f.lhs), table.schema.positions(f.rhs)) for f in fds]
+    choices = [[t.values] if isinstance(t, StandardTuple) else list(t.valuations()) for t in table.tuples]
+    chosen = []
+
+    def compatible(row):
+        return all(
+            tuple(row[i] for i in x_pos) != tuple(c[i] for i in x_pos)
+            or tuple(row[i] for i in y_pos) == tuple(c[i] for i in y_pos)
+            for c in chosen
+            for x_pos, y_pos in positions
+        )
+
+    def search(unassigned):
+        if not unassigned:
+            return True
+        best = None
+        for i in unassigned:
+            rows = [r for r in choices[i] if compatible(r)]
+            if not rows:
+                return False
+            if best is None or len(rows) < len(best[1]):
+                best = i, rows
+                if len(rows) == 1:
+                    break
+        rest = [i for i in unassigned if i != best[0]]
+        for row in best[1]:
+            chosen.append(row)
+            if search(rest):
+                return True
+            chosen.pop()
+        return False
+
+    return Table.standard(table.schema, chosen) if search(list(range(len(choices)))) else None

@@ -1,11 +1,15 @@
-"""The hash-linear finders agree with their pairwise definitions, and strong
-and weak agree with their possible-world definitions."""
+"""The hash-linear finders agree with their pairwise definitions, strong
+and weak agree with their possible-world definitions, and the pruned
+seamless search returns the plain search's world."""
 
 import random
 
 import pytest
 
-from fdlab import FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, check_weak
+from fdlab import (
+    FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, check_seamless, check_weak,
+    generate_3dm_reduction,
+)
 from fdlab.semantics import (
     _fd_positions,
     answer_set,
@@ -18,7 +22,9 @@ from fdlab.semantics import (
 )
 
 import oracles as O
-from gen import rand_disjunctive_table, rand_fd, rand_standard_table, rand_vague_table
+from gen import (
+    rand_3dm_instance, rand_disjunctive_table, rand_fd, rand_fd_set, rand_standard_table, rand_vague_table,
+)
 
 GENERATORS = (rand_standard_table, rand_vague_table, rand_disjunctive_table)
 
@@ -67,6 +73,24 @@ def test_strong_and_weak_return_the_world_oracles_verdicts():
         assert tuple(u1[i] for i in x_pos) == v.binding == tuple(u2[i] for i in x_pos)
         assert tuple(u1[i] for i in y_pos) != tuple(u2[i] for i in y_pos)
     assert violated > 100 and weak_fails > 20
+
+
+def test_seamless_returns_the_plain_searchs_world():
+    rng = random.Random(14)
+    found = 0
+    for k in range(600):
+        table = GENERATORS[k % 3](rng, max_attrs=4, max_tuples=6)
+        fds = rand_fd_set(rng, table.schema.attributes, max_fds=4)
+        world = check_seamless(table, fds)
+        assert world == O.seamless_world(table, fds)
+        found += world is not None
+    for n in (2, 3, 3, 4, 4):
+        for _ in range(8):
+            out = generate_3dm_reduction(rand_3dm_instance(rng, n))
+            world = check_seamless(out.table, out.fds)
+            assert world == O.seamless_world(out.table, out.fds)
+            found += world is not None
+    assert 200 < found < 620
 
 
 def test_contributions_follow_the_definition():
