@@ -6,6 +6,8 @@ The three inference rules are the classical ones:
 * augmentation:  X -> Y               gives XZ -> YZ
 * transitivity:  X -> Y and Y -> Z    gives X -> Z
 
+`attribute_closure`, `implies` and `derive` share one closure loop, LinClosure
+(Beeri & Bernstein 1979), linear in total FD size up to a heap's log factor.
 `derive` emits proofs in a fixed phase order (base citations, one reflexivity
 step, augmentations, transitivities) so golden tests stay stable, and
 `check_derivation` replays them step by step.
@@ -13,6 +15,7 @@ step, augmentations, transitivities) so golden tests stay stable, and
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -29,23 +32,40 @@ def _sorted_fds(fds: Iterable[FunctionalDependency]) -> list:
     return sorted(set(fds), key=lambda f: (tuple(sorted(f.lhs)), tuple(sorted(f.rhs))))
 
 
-def attribute_closure(fds: Iterable[FunctionalDependency], attrs: Iterable[str]) -> frozenset:
-    """Fixpoint of `attrs` under the FD set: the usual worklist closure."""
+def _firings(fds: Iterable[FunctionalDependency], attrs: Iterable[str]) -> tuple:
+    """LinClosure: the FDs that grow `attrs` in firing order, and the closure.
+
+    Each FD counts its lhs attributes outside the closure and, at 0, joins a
+    heap of `_sorted_fds` positions.  The least FD in the heap fires unless its
+    rhs is covered; then it can never grow the closure.  So each FD fires at
+    most once, always the least one that grows it: the order `derive` cites.
+    """
+    base = _sorted_fds(fds)
     closure = set(attrs)
-    pending = _sorted_fds(fds)
-    changed = True
-    while changed:
-        changed = False
-        remaining = []
-        for fd in pending:
-            if fd.lhs <= closure:
-                if not fd.rhs <= closure:
-                    closure |= fd.rhs
-                    changed = True
-            else:
-                remaining.append(fd)
-        pending = remaining
-    return frozenset(closure)
+    missing = [len(f.lhs - closure) for f in base]
+    waiting = {}
+    for i, f in enumerate(base):
+        for a in f.lhs - closure:
+            waiting.setdefault(a, []).append(i)
+    ready = [i for i, m in enumerate(missing) if not m]  # ascending, so a heap
+    fired = []
+    while ready:
+        f = base[heapq.heappop(ready)]
+        if f.rhs <= closure:
+            continue
+        fired.append(f)
+        for a in f.rhs - closure:
+            closure.add(a)
+            for j in waiting.get(a, ()):
+                missing[j] -= 1
+                if not missing[j]:
+                    heapq.heappush(ready, j)
+    return fired, frozenset(closure)
+
+
+def attribute_closure(fds: Iterable[FunctionalDependency], attrs: Iterable[str]) -> frozenset:
+    """Fixpoint of `attrs` under the FD set."""
+    return _firings(fds, attrs)[1]
 
 
 def implies(fds: Iterable[FunctionalDependency], fd: FunctionalDependency) -> bool:
@@ -76,45 +96,30 @@ def derive(fds: Iterable[FunctionalDependency], fd: FunctionalDependency) -> Opt
     the target rhs under the closure; augmentation steps grow the lhs chain;
     transitivity steps stitch the chain together.
     """
-    base = _sorted_fds(fds)
-    target_lhs = fd.lhs
-
-    # Replay the closure, recording which base FDs actually grow it.
-    closure = set(target_lhs)
-    used = []
-    changed = True
-    while changed and not fd.rhs <= closure:
-        changed = False
-        for f in base:
-            if f.lhs <= closure and not f.rhs <= closure:
-                used.append((f, frozenset(closure)))
-                closure |= f.rhs
-                changed = True
-                break
+    fired, closure = _firings(fds, fd.lhs)
     if not fd.rhs <= closure:
         return None
+    # Keep the firings up to the first set S_k that covers the target rhs.
+    used = []
+    final_set = frozenset(fd.lhs)
+    for f in fired:
+        if fd.rhs <= final_set:
+            break
+        used.append((f, final_set))
+        final_set |= f.rhs
 
-    steps = []
     if not used:
-        steps.append(DerivationStep(REFLEXIVITY, fd))
-        return Derivation(fd, tuple(steps))
+        return Derivation(fd, (DerivationStep(REFLEXIVITY, fd),))
 
-    given_index = {}
-    for f, _ in used:
-        if f not in given_index:
-            steps.append(DerivationStep(GIVEN, f))
-            given_index[f] = len(steps) - 1
-
-    final_set = frozenset(used[-1][1] | used[-1][0].rhs)
+    steps = [DerivationStep(GIVEN, f) for f, _ in used]
     reflex_index = len(steps)
     steps.append(DerivationStep(REFLEXIVITY, FunctionalDependency(final_set, fd.rhs)))
 
-    # Augmentations: (S_i -> S_{i+1}) from each used FD, padding by S_i.
-    aug_indices = []
-    for f, before in used:
+    # Augmentations: (S_i -> S_{i+1}) from used FD i (step i), padding by S_i.
+    aug_indices = range(len(steps), len(steps) + len(used))
+    for given, (f, before) in enumerate(used):
         grown = FunctionalDependency(before, before | f.rhs)
-        steps.append(DerivationStep(AUGMENTATION, grown, (given_index[f],), before))
-        aug_indices.append(len(steps) - 1)
+        steps.append(DerivationStep(AUGMENTATION, grown, (given,), before))
 
     # Transitivity chain: X -> S_1 -> ... -> S_k, then S_k -> rhs.
     chain = aug_indices[0]

@@ -32,11 +32,13 @@ EXIT_VIOLATED = 1
 EXIT_ERROR = 2
 
 
-def _cap_value(text: str) -> int:
-    """A valuation cap: an integer of at least 1."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """An argparse type: an integer of at least `low`."""
+    def value(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+        return int(text)
+    return value
 
 
 def _world_cap(args) -> int:
@@ -44,7 +46,7 @@ def _world_cap(args) -> int:
     if args.cap is not None or env is None:
         return args.cap or DEFAULT_VALUATION_CAP
     try:
-        return _cap_value(env)
+        return _at_least(1)(env)
     except argparse.ArgumentTypeError as exc:
         raise FdlabError(f"FDLAB_WORLD_CAP {exc}") from None
 
@@ -142,11 +144,7 @@ def cmd_bench(args) -> int:
             f"total_ms: {elapsed * 1000:.3f}\n",
         )
         return EXIT_OK
-    try:
-        sizes = [int(s) for s in args.sizes.split(",")]
-    except ValueError:
-        raise FdlabError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-    report = bench_inserts(sizes=sizes, probes=args.probes, seed=args.seed)
+    report = bench_inserts(sizes=args.sizes, probes=args.probes, seed=args.seed)
     _emit(args.out, report.to_text())
     return EXIT_OK
 
@@ -175,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--timing", action="store_true", help="include elapsed time in the report")
-    p.add_argument("--cap", type=_cap_value, help="valuation cap (wins over FDLAB_WORLD_CAP)")
+    p.add_argument("--cap", type=_at_least(1), help="valuation cap (wins over FDLAB_WORLD_CAP)")
     p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("valuate", help="produce one world satisfying all pfds")
@@ -202,8 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="insert-latency report for the enforcement index")
     p.add_argument("--table", help="optional table file to replay")
     p.add_argument("--fds", help="dependency file (one fd) for --table mode")
-    p.add_argument("--sizes", default="100,1000,10000", help="synthetic index sizes")
-    p.add_argument("--probes", type=int, default=200)
+    p.add_argument(
+        "--sizes", type=lambda text: [_at_least(1)(s) for s in text.split(",")],
+        default="100,1000,10000", help="synthetic index sizes, each at least 1",
+    )
+    p.add_argument("--probes", type=_at_least(2), default=200, help="at least 2 (the report takes quantiles)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(run=cmd_bench)

@@ -576,7 +576,7 @@ class CheckReport:
                     "fd": v.label(),
                     "holds": v.holds,
                     "violation": v.violation.render() if v.violation else None,
-                    "witness": [t.render() for t in v.witness.tuples] if v.witness else None,
+                    "witness": [t.render() for t in v.witness.tuples] if v.witness is not None else None,
                 }
                 for v in self.verdicts
             ],

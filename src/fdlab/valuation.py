@@ -4,10 +4,10 @@
 standard world satisfying every one of them: per attribute, pick a value for
 each still-ambiguous cell, flood the set of tuples that could agree on any
 determining lhs, and assign the choice uniformly across that set.  The flood
-is iterated to a fixpoint: agreement discovered through an intermediate tuple
-must drag the whole chain along, otherwise a later pick can contradict an
-earlier one (`single_pass=True` exposes the broken one-pass behaviour for
-regression tests).
+is the whole connected component, grown from a worklist: agreement
+discovered through an intermediate tuple must drag the whole chain along,
+otherwise a later pick can contradict an earlier one (the one-sweep variant
+kept in the tests shows this).
 
 `generate_3dm_reduction` builds, from a 3-dimensional matching instance, a
 vague table and three FDs whose joint (seamless) satisfiability is equivalent
@@ -44,7 +44,6 @@ def seamless_valuation_rows(
     table: Table,
     fds: Iterable[FunctionalDependency],
     seed: int = DEFAULT_SEED,
-    single_pass: bool = False,
 ) -> list:
     """One chosen standard row per table tuple, aligned with table order.
 
@@ -65,32 +64,26 @@ def seamless_valuation_rows(
     rng = random.Random(seed)
     cells = [[set(c) for c in t.cells] for t in table.tuples]
 
-    def could_agree(i: int, j: int, lhs_pos) -> bool:
-        return all(cells[i][p] & cells[j][p] for p in lhs_pos)
-
     for a_pos, attr in enumerate(schema):
         determining = [schema.positions(fd.lhs) for fd in normalized if fd.rhs == frozenset((attr,))]
         for i in range(len(cells)):
             if len(cells[i][a_pos]) <= 1:
                 continue
             choice = rng.choice(sorted(cells[i][a_pos]))
+            # The lhs cells stay put within one attribute, so the group is i's
+            # component under "could agree on a determining lhs".
             group = {i}
-            while True:
-                added = False
+            frontier = [i]
+            while frontier:
+                k = frontier.pop()
                 for j in range(len(cells)):
-                    if j in group:
-                        continue
-                    if any(could_agree(j, k, lhs_pos) for lhs_pos in determining for k in group):
+                    if j not in group and any(all(cells[j][p] & cells[k][p] for p in pos) for pos in determining):
                         group.add(j)
-                        added = True
-                if single_pass or not added:
-                    break
+                        frontier.append(j)
             for j in group:
-                # Fixpoint flooding makes groups closed: every member still
-                # carries the seed's cell, so the choice is always available.
-                # The one-pass variant is allowed to clobber assigned cells,
-                # which is exactly its observable failure mode.
-                if not single_pass and choice not in cells[j][a_pos]:
+                # A component is closed: every member still carries the
+                # seed's cell, so the choice is always available.
+                if choice not in cells[j][a_pos]:
                     raise AssertionError(
                         f"cell ({j}, {attr}) would be reassigned from "
                         f"{cells[j][a_pos]} to {choice!r}"

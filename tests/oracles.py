@@ -4,16 +4,24 @@ Each function follows its definition literally: every pair of tuples in
 canonical order, identity pairs included, and every shared lhs binding; or,
 for strong and weak, every possible world.  The library's pairwise finders
 must return the same `Violation` (reason, pair, binding, note) while doing
-linear or hoisted work; strong and weak must return the same verdicts.
+linear or hoisted work; strong and weak must return the same verdicts.  The
+closure oracles repeat full passes over the FD list, and the one-sweep flood
+shows why the valuation flood must take whole components.
 """
 
 import itertools
+import random
 
 from fdlab import (
-    DisjunctiveTuple, Model, ModelError, StandardTuple, Table, VagueTuple, ValuationBudgetExceeded, resemblance,
+    DisjunctiveTuple, FunctionalDependency, Model, ModelError, StandardTuple, Table, VagueTuple,
+    ValuationBudgetExceeded, resemblance,
+)
+from fdlab.armstrong import (
+    AUGMENTATION, GIVEN, REFLEXIVITY, TRANSITIVITY, Derivation, DerivationStep, _sorted_fds,
 )
 from fdlab.model import to_disjunctive
 from fdlab.semantics import DEFAULT_VALUATION_CAP, MAX_RESEMBLANCE, Violation, _require_within
+from fdlab.valuation import DEFAULT_SEED, _normalize_fds
 
 
 def _cell(t, i):
@@ -240,3 +248,71 @@ def seamless_world(table, fds):
         return False
 
     return Table.standard(table.schema, chosen) if search(list(range(len(choices)))) else None
+
+
+def attribute_closure(fds, attrs) -> frozenset:
+    """Full passes over the FD list until one adds nothing."""
+    closure = set(attrs)
+    changed = True
+    while changed:
+        changed = False
+        for f in _sorted_fds(fds):
+            if f.lhs <= closure and not f.rhs <= closure:
+                closure |= f.rhs
+                changed = True
+    return frozenset(closure)
+
+
+def derive(fds, fd):
+    """The proof `derive` must return, built from the restart-from-the-top
+    firing order: after every firing, the least FD whose lhs is covered and
+    whose rhs is not fires next, until the target rhs is covered."""
+    closure = frozenset(fd.lhs)
+    used = []
+    while not fd.rhs <= closure:
+        f = next((f for f in _sorted_fds(fds) if f.lhs <= closure and not f.rhs <= closure), None)
+        if f is None:
+            return None
+        used.append((f, closure))
+        closure |= f.rhs
+    if not used:
+        return Derivation(fd, (DerivationStep(REFLEXIVITY, fd),))
+    k = len(used)
+    # Steps 0..k-1 cite the used FDs, k is S_k -> Y, k+1..2k augment S_i -> S_i+1.
+    steps = [DerivationStep(GIVEN, f) for f, _ in used]
+    steps.append(DerivationStep(REFLEXIVITY, FunctionalDependency(closure, fd.rhs)))
+    steps += [
+        DerivationStep(AUGMENTATION, FunctionalDependency(before, before | f.rhs), (i,), before)
+        for i, (f, before) in enumerate(used)
+    ]
+    chain = k + 1
+    for aug in range(k + 2, 2 * k + 1):
+        steps.append(DerivationStep(
+            TRANSITIVITY, FunctionalDependency(fd.lhs, steps[aug].conclusion.rhs), (chain, aug)
+        ))
+        chain = len(steps) - 1
+    steps.append(DerivationStep(TRANSITIVITY, FunctionalDependency(fd.lhs, fd.rhs), (chain, k)))
+    return Derivation(fd, tuple(steps))
+
+
+def one_pass_valuation_rows(table, fds, seed=DEFAULT_SEED):
+    """The valuation flood with one sweep over the tuples per ambiguous cell,
+    in place of the whole component: a tuple linked to the group only through
+    a later tuple is missed, so a later pick can overwrite an earlier one."""
+    fds = _normalize_fds(fds)
+    schema = table.schema
+    rng = random.Random(seed)
+    cells = [[set(c) for c in t.cells] for t in table.tuples]
+    for a_pos, attr in enumerate(schema):
+        determining = [schema.positions(f.lhs) for f in fds if f.rhs == frozenset((attr,))]
+        for i in range(len(cells)):
+            if len(cells[i][a_pos]) <= 1:
+                continue
+            choice = rng.choice(sorted(cells[i][a_pos]))
+            group = {i}
+            for j in range(len(cells)):
+                if any(all(cells[j][p] & cells[k][p] for p in pos) for pos in determining for k in group):
+                    group.add(j)
+            for j in group:
+                cells[j][a_pos] = {choice}
+    return [tuple(next(iter(c)) for c in row) for row in cells]

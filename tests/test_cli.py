@@ -145,6 +145,16 @@ class TestCliCheck:
         assert payload["satisfied"] is True
         assert len(payload["verdicts"]) == 2
 
+    @pytest.mark.parametrize("semantics", ["weak", "seamless"])
+    def test_empty_witness_world_is_shown_empty(self, semantics, tmp_path, capsys):
+        empty = tmp_path / "empty.stab"
+        empty.write_text("A,B,C\n")
+        argv = ["check", "--table", str(empty), "--fds", str(DATA / "chain.fds"), "--semantics", semantics]
+        assert run_cli(*argv, "--format", "json") == 0
+        assert all(v["witness"] == [] for v in json.loads(capsys.readouterr().out)["verdicts"])
+        assert run_cli(*argv) == 0
+        assert "witness: \n" in capsys.readouterr().out
+
     def test_parse_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.vtab"
         bad.write_text("A,B\nonly-one-field\n")
@@ -311,6 +321,15 @@ class TestCliBench:
         assert run_cli("bench", "--sizes", "20,40", "--probes", "10") == 0
         out = capsys.readouterr().out
         assert "median_spread" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("--probes", "0"), ("--probes", "1"), ("--probes", "-3"), ("--sizes", "0,-5"), ("--sizes", "10,x"),
+    ])
+    def test_bad_sizes_and_probes_are_usage_errors(self, argv, capsys):
+        assert run_cli("bench", *argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"fdlab bench: error: argument {argv[0]}: must be an integer")
 
     def test_table_replay_bench(self, capsys):
         assert run_cli(

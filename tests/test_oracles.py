@@ -1,14 +1,15 @@
 """The hash-linear finders agree with their pairwise definitions, strong
-and weak agree with their possible-world definitions, and the pruned
-seamless search returns the plain search's world."""
+and weak agree with their possible-world definitions, the pruned seamless
+search returns the plain search's world, and the linear closure gives the
+pass loop's closures and the restart-from-the-top derivations."""
 
 import random
 
 import pytest
 
 from fdlab import (
-    FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, check_seamless, check_weak,
-    generate_3dm_reduction,
+    FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, attribute_closure,
+    check_seamless, check_weak, derive, generate_3dm_reduction, implies,
 )
 from fdlab.semantics import (
     _fd_positions,
@@ -115,3 +116,35 @@ def test_lhs_binding_product_over_the_cap_raises():
     with pytest.raises(ValuationBudgetExceeded):
         find_pfd_violation(table, FunctionalDependency(attrs[:2], {"B"}), valuation_cap=63)
     assert find_pfd_violation(table, FunctionalDependency(attrs[:2], {"B"}), valuation_cap=64)
+
+
+def _fd_sets(rng, count):
+    """FD sets over up to 7 attributes with empty sides and duplicate FDs."""
+    for _ in range(count):
+        attrs = [chr(ord("A") + i) for i in range(rng.randint(1, 7))]
+        p = rng.choice((0.2, 0.4, 0.6))
+        fds = [
+            FunctionalDependency({a for a in attrs if rng.random() < p}, {a for a in attrs if rng.random() < p})
+            for _ in range(rng.randint(0, 10))
+        ]
+        if fds and rng.random() < 0.3:
+            fds += rng.sample(fds, rng.randint(1, len(fds)))
+        target = FunctionalDependency({a for a in attrs if rng.random() < 0.3}, {a for a in attrs if rng.random() < 0.4})
+        yield fds, target
+
+
+def test_closure_implies_and_derive_follow_the_pass_loop():
+    proofs = 0
+    chains = []
+    for n in (1, 2, 60):
+        chain = [FunctionalDependency({f"A{i}"}, {f"A{i + 1}"}) for i in reversed(range(n))]
+        chains.append((chain, FunctionalDependency({"A0"}, {f"A{n}"})))
+    for fds, target in [*_fd_sets(random.Random(15), 10_000), *chains]:
+        closure = O.attribute_closure(fds, target.lhs)
+        assert attribute_closure(fds, target.lhs) == closure
+        assert implies(fds, target) == (target.rhs <= closure)
+        want = O.derive(fds, target)
+        # Frozen dataclasses: equal iff rule, conclusion, premises and augment_with match per step.
+        assert derive(fds, target) == want
+        proofs += want is not None and len(want.steps) > 4
+    assert proofs > 500

@@ -22,6 +22,7 @@ from fdlab import (
     solve_3dm_bruteforce,
 )
 
+import oracles as O
 import tables as T
 from tables import fd
 from gen import rand_3dm_instance, rand_fd, rand_vague_table
@@ -78,14 +79,12 @@ class TestSeamlessValuation:
     def test_one_pass_flood_is_insufficient(self):
         # The chain tuple sorts after the tuple it links, so a single sweep
         # misses it and a later pick can contradict the earlier assignment.
-        # The fixpoint flood never does.
+        # The component flood never does.
         for f in T.ONE_PASS_FDS:
             assert check_pfd(T.ONE_PASS_TRAP, f)
         failures = []
         for seed in range(8):
-            rows = seamless_valuation_rows(
-                T.ONE_PASS_TRAP, T.ONE_PASS_FDS, seed=seed, single_pass=True
-            )
+            rows = O.one_pass_valuation_rows(T.ONE_PASS_TRAP, T.ONE_PASS_FDS, seed=seed)
             world = Table.standard(T.ONE_PASS_TRAP.schema, rows)
             if not all(check_standard(world, f) for f in T.ONE_PASS_FDS):
                 failures.append(seed)
