@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("worlds", help="enumerate distinct possible worlds")
     add_common(p, table=True)
-    p.add_argument("--limit", type=int, help="fail once more distinct worlds exist")
+    p.add_argument("--limit", type=_at_least(1), help="fail once more distinct worlds exist")
     p.set_defaults(run=cmd_worlds)
 
     p = sub.add_parser("closure", help="attribute closure under a dependency set")

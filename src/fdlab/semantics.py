@@ -14,11 +14,12 @@ Six interpretations are supported:
 
 Seamless satisfaction (one world satisfying a whole FD set at once) is a
 set-level check and is exposed as `check_seamless`.  Checking it is
-NP-complete, so it carries a search budget; weak is seamless satisfaction of
-a one-FD set.  The standard, strong, pfd and vertical checks share one core:
-`contributions` (a tuple's binding -> answer set pairs) and
-`_first_disagreement` (one hash pass over them).  No checker enumerates
-possible worlds.
+NP-complete, so it carries a search budget; its backtracking search keeps
+each tuple's domain forward-checked through a `binding -> tuples` index.
+Weak is seamless satisfaction of a one-FD set.  The standard, strong, pfd
+and vertical checks share one core: `contributions` (a tuple's binding ->
+answer set pairs) and `_first_disagreement` (one hash pass over them).  No
+checker enumerates possible worlds.
 """
 
 from __future__ import annotations
@@ -293,24 +294,36 @@ def check_seamless(
     """A world satisfying every FD in the set at once, or None.
 
     Exhaustive backtracking over per-tuple valuations, kept on an explicit
-    stack so that its depth is not bounded by the interpreter's.  At every
-    node the still-unassigned tuple with the fewest valuations compatible with
-    the choices so far is branched on (fail-first, the lowest index on ties),
-    and a partial valuation is abandoned as soon as some tuple has no
-    compatible valuation left.  After the first dead end, a row is no longer
-    tried when it gives a binding an rhs value that a tuple with that single
-    lhs binding cannot take.  Raises ValuationBudgetExceeded after `budget`
-    candidate extensions.  Cost: exponential in tuples in the worst case (the
-    problem is NP-complete).
+    stack so that its depth is not bounded by the interpreter's.  Each
+    unassigned tuple keeps its domain, the valuations compatible with the
+    choices so far: a row that opens a new lhs binding re-filters only that
+    binding's unassigned holders (forward checking over a `binding -> tuples`
+    index), and backtracking restores them from a trail.  The smallest domain
+    is branched on (fail-first, the lowest index on ties), and an empty one
+    is a dead end.  After the first dead end, a row is no longer tried when
+    it gives a binding an rhs value that a tuple with that single lhs binding
+    cannot take.  Raises ValuationBudgetExceeded after `budget` candidate
+    extensions.  Cost: exponential in tuples in the worst case (the problem
+    is NP-complete); without backtracking, each new binding filters its
+    holders once per FD and each node reads every unassigned domain's size.
     """
     fds = list(fds)
     positions = [_fd_positions(table.schema, fd) for fd in fds]
     _require_within(table, budget)
-    choice_lists = [[t.values] if isinstance(t, StandardTuple) else list(t.valuations()) for t in table.tuples]
+    domains = [[t.values] if isinstance(t, StandardTuple) else list(t.valuations()) for t in table.tuples]
+    # Per FD: binding -> the tuples with a valuation carrying it.
+    holders = [dict() for _ in fds]
+    for j, rows in enumerate(domains):
+        for h, (x_pos, _) in zip(holders, positions):
+            for key in {tuple(row[i] for i in x_pos) for row in rows}:
+                h.setdefault(key, []).append(j)
     # Per FD: binding -> [y-value, multiplicity] over the chosen rows.
     maps = [dict() for _ in fds]
     chosen = []
-    unassigned = list(range(len(choice_lists)))  # kept sorted
+    unassigned = list(range(len(domains)))  # kept sorted
+    free = [True] * len(domains)  # i in unassigned
+    # Per push: (tuple, its domain before the push shrank it).
+    trail = []
     attempts = 0
     # Per FD: binding -> the rhs values allowed by every tuple whose
     # valuations all carry that binding.  Any world gives such a tuple one of
@@ -336,21 +349,24 @@ def check_seamless(
                 return False
         return True
 
-    def compatible(row) -> bool:
-        for m, (x_pos, y_pos) in zip(maps, positions):
-            slot = m.get(tuple(row[i] for i in x_pos))
-            if slot is not None and slot[0] != tuple(row[i] for i in y_pos):
-                return False
-        return True
-
     def push(row):
-        for m, (x_pos, y_pos) in zip(maps, positions):
+        shrunk = []
+        for m, h, (x_pos, y_pos) in zip(maps, holders, positions):
             key = tuple(row[i] for i in x_pos)
             slot = m.get(key)
-            if slot is None:
-                m[key] = [tuple(row[i] for i in y_pos), 1]
-            else:
+            if slot is not None:
                 slot[1] += 1
+                continue
+            y = tuple(row[i] for i in y_pos)
+            m[key] = [y, 1]
+            for j in h[key]:
+                if free[j]:
+                    kept = [r for r in domains[j]
+                            if tuple(r[i] for i in x_pos) != key or tuple(r[i] for i in y_pos) == y]
+                    if len(kept) < len(domains[j]):
+                        shrunk.append((j, domains[j]))
+                        domains[j] = kept
+        trail.append(shrunk)
         chosen.append(row)
 
     def pop():
@@ -361,19 +377,21 @@ def check_seamless(
             slot[1] -= 1
             if slot[1] == 0:
                 del m[key]
+        for j, old in reversed(trail.pop()):
+            domains[j] = old
 
     def branch():
-        """(tuple index, compatible rows) to branch on, or None at a dead end."""
+        """The tuple index to branch on, or None at a dead end."""
         best = None
         for i in unassigned:
-            rows = [r for r in choice_lists[i] if compatible(r)]
-            if not rows:
+            size = len(domains[i])
+            if not size:
                 if not allowed:
                     fill_allowed()
                 return None
-            if best is None or len(rows) < len(best[1]):
-                best = i, rows
-                if len(rows) == 1:
+            if best is None or size < len(domains[best]):
+                best = i
+                if size == 1:
                     break
         return best
 
@@ -384,15 +402,18 @@ def check_seamless(
     while unassigned:
         node = branch()
         if node is not None:
-            del unassigned[bisect.bisect_left(unassigned, node[0])]
-            stack.append((node[0], filter(viable, node[1])))
+            del unassigned[bisect.bisect_left(unassigned, node)]
+            free[node] = False
+            stack.append((node, filter(viable, domains[node])))
         while stack:
             if len(chosen) == len(stack):
                 pop()
             row = next(stack[-1][1], None)
             if row is not None:
                 break
-            bisect.insort(unassigned, stack.pop()[0])
+            i = stack.pop()[0]
+            free[i] = True
+            bisect.insort(unassigned, i)
         else:
             return None
         attempts += 1

@@ -4,10 +4,13 @@
 standard world satisfying every one of them: per attribute, pick a value for
 each still-ambiguous cell, flood the set of tuples that could agree on any
 determining lhs, and assign the choice uniformly across that set.  The flood
-is the whole connected component, grown from a worklist: agreement
-discovered through an intermediate tuple must drag the whole chain along,
-otherwise a later pick can contradict an earlier one (the one-sweep variant
-kept in the tests shows this).
+is the whole connected component: agreement discovered through an
+intermediate tuple must drag the whole chain along, otherwise a later pick
+can contradict an earlier one (the one-sweep variant kept in the tests shows
+this).  Two tuples could agree on a lhs iff they share a binding of its lhs
+cells, so each attribute's components come from one pass over the tuples'
+lhs bindings that merges their holders: O(B + n log n) per attribute, B the
+lhs bindings of its determining FDs.
 
 `generate_3dm_reduction` builds, from a 3-dimensional matching instance, a
 vague table and three FDs whose joint (seamless) satisfiability is equivalent
@@ -66,21 +69,25 @@ def seamless_valuation_rows(
 
     for a_pos, attr in enumerate(schema):
         determining = [schema.positions(fd.lhs) for fd in normalized if fd.rhs == frozenset((attr,))]
+        # The lhs cells stay put within one attribute, so the components of
+        # "could agree on a determining lhs" (share a binding of its lhs
+        # cells) are found once: merge the holders of each binding, moving
+        # the members of the smaller component.
+        group = [[j] for j in range(len(cells))]
+        for pos in determining:
+            first = {}
+            for j, row in enumerate(cells):
+                for binding in itertools.product(*(row[p] for p in pos)):
+                    small, big = sorted((group[j], group[first.setdefault(binding, j)]), key=len)
+                    if big is not small:
+                        big.extend(small)
+                        for k in small:
+                            group[k] = big
         for i in range(len(cells)):
             if len(cells[i][a_pos]) <= 1:
                 continue
             choice = rng.choice(sorted(cells[i][a_pos]))
-            # The lhs cells stay put within one attribute, so the group is i's
-            # component under "could agree on a determining lhs".
-            group = {i}
-            frontier = [i]
-            while frontier:
-                k = frontier.pop()
-                for j in range(len(cells)):
-                    if j not in group and any(all(cells[j][p] & cells[k][p] for p in pos) for pos in determining):
-                        group.add(j)
-                        frontier.append(j)
-            for j in group:
+            for j in group[i]:
                 # A component is closed: every member still carries the
                 # seed's cell, so the choice is always available.
                 if choice not in cells[j][a_pos]:

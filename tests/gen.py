@@ -69,3 +69,26 @@ def rand_3dm_instance(rng: random.Random, n: int) -> ThreeDMInstance:
             and {t[2] for t in triples} == set(zs)
         ):
             return ThreeDMInstance(xs, ys, zs, triples)
+
+
+def grouped_vague_table(rng: random.Random, n: int, group=10, pool=4):
+    """n distinct vague tuples over K, L, C, D, F in groups of `group`, and
+    the FDs K -> C, K L -> C D and K -> D.  Each group draws its K and L cells
+    from its own pools of `pool` values and shares one C and one D cell, so
+    every FD holds under pfd and a seamless world exists; F is noise."""
+    rows = []
+    for g in range(0, n, group):
+        ks = [f"k{g}_{i}" for i in range(pool)]
+        ls = [f"l{g}_{i}" for i in range(pool)]
+        c = frozenset(rng.sample(VALUES, rng.randint(1, 2)))
+        d = frozenset(rng.sample(VALUES, rng.randint(1, 2)))
+        members = set()
+        while len(members) < min(group, n - g):
+            members.add((
+                frozenset(rng.sample(ks, rng.randint(1, 2))), frozenset(rng.sample(ls, rng.randint(1, 2))),
+                c, d, frozenset(rng.sample(VALUES, rng.randint(1, 2))),
+            ))
+        rows.extend(members)
+    fds = [FunctionalDependency({"K"}, {"C"}), FunctionalDependency({"K", "L"}, {"C", "D"}),
+           FunctionalDependency({"K"}, {"D"})]
+    return Table.vague(["K", "L", "C", "D", "F"], rows), fds

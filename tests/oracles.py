@@ -5,8 +5,9 @@ canonical order, identity pairs included, and every shared lhs binding; or,
 for strong and weak, every possible world.  The library's pairwise finders
 must return the same `Violation` (reason, pair, binding, note) while doing
 linear or hoisted work; strong and weak must return the same verdicts.  The
-closure oracles repeat full passes over the FD list, and the one-sweep flood
-shows why the valuation flood must take whole components.
+closure oracles repeat full passes over the FD list.  The worklist flood
+grows each valuation group by pairwise cell intersections, and the one-sweep
+flood shows why the valuation flood must take whole components.
 """
 
 import itertools
@@ -314,5 +315,34 @@ def one_pass_valuation_rows(table, fds, seed=DEFAULT_SEED):
                 if any(all(cells[j][p] & cells[k][p] for p in pos) for pos in determining for k in group):
                     group.add(j)
             for j in group:
+                cells[j][a_pos] = {choice}
+    return [tuple(next(iter(c)) for c in row) for row in cells]
+
+
+def worklist_valuation_rows(table, fds, seed=DEFAULT_SEED):
+    """The valuation flood grown from a worklist per ambiguous cell: each
+    member is expanded once against every tuple, and two tuples could agree
+    on a determining lhs when their cells intersect at every lhs position.
+    `seamless_valuation_rows` must return the same rows."""
+    fds = _normalize_fds(fds)
+    schema = table.schema
+    rng = random.Random(seed)
+    cells = [[set(c) for c in t.cells] for t in table.tuples]
+    for a_pos, attr in enumerate(schema):
+        determining = [schema.positions(f.lhs) for f in fds if f.rhs == frozenset((attr,))]
+        for i in range(len(cells)):
+            if len(cells[i][a_pos]) <= 1:
+                continue
+            choice = rng.choice(sorted(cells[i][a_pos]))
+            group = {i}
+            frontier = [i]
+            while frontier:
+                k = frontier.pop()
+                for j in range(len(cells)):
+                    if j not in group and any(all(cells[j][p] & cells[k][p] for p in pos) for pos in determining):
+                        group.add(j)
+                        frontier.append(j)
+            for j in group:
+                assert choice in cells[j][a_pos]
                 cells[j][a_pos] = {choice}
     return [tuple(next(iter(c)) for c in row) for row in cells]

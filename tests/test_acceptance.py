@@ -278,7 +278,7 @@ def test_criterion_6_reduction_equivalence():
 
     # Scaling log: demonstration only, nothing asserted about the growth.
     print("[acceptance] seamless-search scaling (median of 3 runs):")
-    for n in range(1, 7):
+    for n in range(1, 9):
         times = []
         for _ in range(3):
             inst = rand_3dm_instance(rng, n)

@@ -288,6 +288,14 @@ class TestCliWorldsClosureGen3dm:
     def test_worlds_limit_exits_two(self):
         assert run_cli("worlds", "--table", str(DATA / "transitivity_trap.vtab"), "--limit", "2") == 2
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_a_usage_error(self, limit, capsys):
+        assert run_cli("worlds", "--table", str(DATA / "transitivity_trap.vtab"), "--limit", limit) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert "Traceback" not in "\n".join(err)
+        assert err[0].startswith("usage: fdlab worlds")
+        assert err[-1].startswith("fdlab worlds: error: argument --limit: must be an integer of at least 1")
+
     def test_closure(self, tmp_path, capsys):
         fds = tmp_path / "f.fds"
         fds.write_text("A -> B\nB -> C\n")

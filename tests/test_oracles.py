@@ -1,6 +1,7 @@
 """The hash-linear finders agree with their pairwise definitions, strong
-and weak agree with their possible-world definitions, the pruned seamless
-search returns the plain search's world, and the linear closure gives the
+and weak agree with their possible-world definitions, the forward-checked
+seamless search returns the plain search's world, the component valuation
+flood returns the worklist flood's rows, and the linear closure gives the
 pass loop's closures and the restart-from-the-top derivations."""
 
 import random
@@ -9,7 +10,7 @@ import pytest
 
 from fdlab import (
     FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, attribute_closure,
-    check_seamless, check_weak, derive, generate_3dm_reduction, implies,
+    check_pfd, check_seamless, check_weak, derive, generate_3dm_reduction, implies, seamless_valuation_rows,
 )
 from fdlab.semantics import (
     _fd_positions,
@@ -85,13 +86,62 @@ def test_seamless_returns_the_plain_searchs_world():
         world = check_seamless(table, fds)
         assert world == O.seamless_world(table, fds)
         found += world is not None
+    for _ in range(60):
+        table = rand_vague_table(rng, max_attrs=4, max_tuples=12)
+        fds = rand_fd_set(rng, table.schema.attributes, max_fds=4)
+        world = check_seamless(table, fds)
+        assert world == O.seamless_world(table, fds)
+        found += world is not None
     for n in (2, 3, 3, 4, 4):
         for _ in range(8):
             out = generate_3dm_reduction(rand_3dm_instance(rng, n))
             world = check_seamless(out.table, out.fds)
             assert world == O.seamless_world(out.table, out.fds)
             found += world is not None
-    assert 200 < found < 620
+    assert 220 < found < 680
+
+
+def _flood_cases(rng, count=300, max_tuples=8):
+    """Vague tables with FD sets that hold under pfd: random FDs, an empty
+    lhs (over a column planted equal in every tuple, so it always holds), a
+    two-attribute lhs, and a duplicate of one of them."""
+    for _ in range(count):
+        table = rand_vague_table(rng, max_attrs=4, max_tuples=max_tuples, max_valuations=float("inf"))
+        attrs = table.schema.attributes
+        rows = [list(t.cells) for t in table.tuples]
+        same = rng.randrange(len(attrs))
+        for row in rows:
+            row[same] = rows[0][same]
+        table = Table.vague(attrs, rows)
+        cands = [rand_fd(rng, attrs) for _ in range(3)] + [FunctionalDependency((), {attrs[same]})]
+        if len(attrs) > 2:
+            cands.append(FunctionalDependency(rng.sample(attrs, 2), rng.sample(attrs, 1)))
+        fds = [f for f in cands if check_pfd(table, f)]
+        yield table, fds + rng.sample(fds, 1), rng.randrange(100)
+
+
+# Under A -> D, tuples 1-2 and 3-6 form two groups; under B -> D, tuple 0
+# joins the group of 1-2, which then meets the larger group through 2 and 3.
+# Every member of the smaller group, tuple 0 included, must join the larger.
+MERGE_TRAP = Table.vague(["K", "A", "B", "D"], [
+    (f"k{i}", a, b, {"d1", "d2"})
+    for i, (a, b) in enumerate([("a0", "b1"), ("a1", "b1"), ("a1", "b2"), ("a2", "b2"),
+                                ("a2", "b3"), ("a2", "b4"), ("a2", "b5")])
+])
+MERGE_TRAP_FDS = [FunctionalDependency({"A"}, {"D"}), FunctionalDependency({"B"}, {"D"})]
+
+
+def test_valuation_flood_returns_the_worklist_floods_rows():
+    trap = [(MERGE_TRAP, MERGE_TRAP_FDS, pick) for pick in range(8)]
+    for table, fds, pick in trap:
+        assert seamless_valuation_rows(table, fds, seed=pick) == O.worklist_valuation_rows(table, fds, seed=pick)
+    empty = wide = 0
+    for seed, max_tuples in ((21, 8), (22, 8), (23, 8), (24, 20), (25, 20)):
+        for table, fds, pick in _flood_cases(random.Random(seed), max_tuples=max_tuples):
+            assert seamless_valuation_rows(table, fds, seed=pick) == O.worklist_valuation_rows(table, fds, seed=pick)
+            empty += any(not f.lhs and len(table) > 1 for f in fds)
+            wide += any(len(f.lhs - f.rhs) > 1 and len(table) > 1 for f in fds)
+    assert empty > 300 and wide > 200
 
 
 def test_contributions_follow_the_definition():

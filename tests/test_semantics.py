@@ -34,7 +34,7 @@ from fdlab.semantics import find_pfd_violation
 import tables as T
 from oracles import check_pfd_decomposed
 from tables import fd
-from gen import rand_disjunctive_table, rand_fd, rand_vague_table
+from gen import grouped_vague_table, rand_disjunctive_table, rand_fd, rand_vague_table
 
 
 class TestSelect:
@@ -131,6 +131,19 @@ class TestSeamless:
         r = Table.standard(["A", "B"], [(f"a{i:05d}", f"b{i % 50}") for i in range(1_500)])
         assert check_seamless(r, [T.AB]) == r
         assert check_weak(r, T.AB)
+
+    def test_vague_search_without_dead_ends_is_near_linear(self):
+        # 1,000 tuples, three FDs, no dead end: re-filtering every
+        # unassigned tuple's valuations at every node takes well over 15 s.
+        r, fds = grouped_vague_table(random.Random(1), 1_000)
+        start = time.perf_counter()
+        w = check_seamless(r, fds)
+        assert time.perf_counter() - start < 5
+        assert all(check_standard(w, f) for f in fds)
+        valuations = [set(t.valuations()) for t in r.tuples]
+        rows = {t.values for t in w.tuples}
+        assert rows <= set().union(*valuations)
+        assert all(v & rows for v in valuations)
 
 
 class TestPfd:

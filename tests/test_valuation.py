@@ -1,6 +1,7 @@
 """Valuation algorithm and the matching-problem reduction."""
 
 import random
+import time
 
 import pytest
 
@@ -25,7 +26,7 @@ from fdlab import (
 import oracles as O
 import tables as T
 from tables import fd
-from gen import rand_3dm_instance, rand_fd, rand_vague_table
+from gen import grouped_vague_table, rand_3dm_instance, rand_fd, rand_vague_table
 
 
 class TestSeamlessValuation:
@@ -75,6 +76,16 @@ class TestSeamlessValuation:
             world = Table.standard(table.schema, rows)
             for f in fds:
                 assert check_standard(world, f)
+
+    def test_flood_is_near_linear(self):
+        # 2,000 tuples; flooding each ambiguous cell by pairwise scans takes
+        # well over 15 s.
+        table, fds = grouped_vague_table(random.Random(2), 2_000)
+        start = time.perf_counter()
+        rows = seamless_valuation_rows(table, fds)
+        assert time.perf_counter() - start < 5
+        world = Table.standard(table.schema, rows)
+        assert all(check_standard(world, f) for f in fds)
 
     def test_one_pass_flood_is_insufficient(self):
         # The chain tuple sorts after the tuple it links, so a single sweep
