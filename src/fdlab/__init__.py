@@ -64,7 +64,7 @@ from .valuation import (
     serialize_3dm,
     solve_3dm_bruteforce,
 )
-from .pfd_index import BenchReport, Conflict, PfdIndex, bench_inserts
+from .pfd_index import Conflict, PfdIndex
 from .formats import parse_fds, parse_table, serialize_fds, serialize_table
 
 __version__ = "0.1.0"

@@ -1,12 +1,13 @@
-"""Command-line surface: check, valuate, worlds, closure, gen3dm, bench.
+"""Command-line surface: check, valuate, worlds, closure, gen3dm.
 
 Exit codes: 0 every dependency satisfied (or witness found), 1 a dependency
 violated or no witness exists, 2 usage, parse, model, or budget errors, and
 any unexpected error (its traceback goes to stderr).  `check --cap N` sets
 the valuation cap: lhs bindings per tuple for pfd and strong, search steps
-for seamless and weak, valuations per tuple for vertical.  Without --cap the
-FDLAB_WORLD_CAP environment variable sets it, else the default of 1,000,000
-applies.  A cap below 1 is a usage error.
+for seamless and weak, valuations per tuple for vertical.  `worlds --cap N`
+bounds the valuations of the whole table, one product step each.  Without
+--cap the FDLAB_WORLD_CAP environment variable sets it, else the default of
+1,000,000 applies.  A cap below 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +23,6 @@ from .armstrong import attribute_closure
 from .errors import FdlabError, PfdPreconditionError
 from .formats import EXTENSION_MODELS, parse_fds, parse_table, serialize_fds, serialize_table
 from .model import Model, Table, enumerate_worlds
-from .pfd_index import PfdIndex, bench_inserts
 from .semantics import DEFAULT_VALUATION_CAP, Semantics, check
 from .valuation import generate_3dm_reduction, parse_3dm, seamless_valuation_pfd
 
@@ -97,7 +96,7 @@ def cmd_valuate(args) -> int:
 
 def cmd_worlds(args) -> int:
     table = _load_table(args.table)
-    worlds = enumerate_worlds(table, limit=args.limit)
+    worlds = enumerate_worlds(table, limit=args.limit, cap=_world_cap(args))
     chunks = []
     for i, world in enumerate(worlds, start=1):
         chunks.append(f"# world {i} of {len(worlds)}\n" + serialize_table(world))
@@ -119,33 +118,6 @@ def cmd_gen3dm(args) -> int:
     fds_text = serialize_fds(reduction.fds)
     _emit(args.out_table, table_text)
     _emit(args.out_fds, fds_text)
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    if args.table:
-        table = _load_table(args.table)
-        fds = _load_fds(args.fds)
-        if len(fds) != 1:
-            raise FdlabError("bench over a table file needs exactly one dependency")
-        idx = PfdIndex(fds[0], table.schema)
-        accepted = rejected = 0
-        start = time.perf_counter()
-        for t in table.tuples:
-            try:
-                idx.insert(t)
-                accepted += 1
-            except FdlabError:
-                rejected += 1
-        elapsed = time.perf_counter() - start
-        _emit(
-            args.out,
-            f"fd: {fds[0]}\naccepted: {accepted}\nrejected: {rejected}\n"
-            f"total_ms: {elapsed * 1000:.3f}\n",
-        )
-        return EXIT_OK
-    report = bench_inserts(sizes=args.sizes, probes=args.probes, seed=args.seed)
-    _emit(args.out, report.to_text())
     return EXIT_OK
 
 
@@ -184,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("worlds", help="enumerate distinct possible worlds")
     add_common(p, table=True)
     p.add_argument("--limit", type=_at_least(1), help="fail once more distinct worlds exist")
+    p.add_argument("--cap", type=_at_least(1), help="valuation cap (wins over FDLAB_WORLD_CAP)")
     p.set_defaults(run=cmd_worlds)
 
     p = sub.add_parser("closure", help="attribute closure under a dependency set")
@@ -196,18 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-table", help="write the generated table here")
     p.add_argument("--out-fds", help="write the generated dependencies here")
     p.set_defaults(run=cmd_gen3dm)
-
-    p = sub.add_parser("bench", help="insert-latency report for the enforcement index")
-    p.add_argument("--table", help="optional table file to replay")
-    p.add_argument("--fds", help="dependency file (one fd) for --table mode")
-    p.add_argument(
-        "--sizes", type=lambda text: [_at_least(1)(s) for s in text.split(",")],
-        default="100,1000,10000", help="synthetic index sizes, each at least 1",
-    )
-    p.add_argument("--probes", type=_at_least(2), default=200, help="at least 2 (the report takes quantiles)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(run=cmd_bench)
 
     return parser
 

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import ModelError, SchemaError, WorldLimitExceeded
+from .errors import ModelError, SchemaError, ValuationBudgetExceeded, WorldLimitExceeded
+
+DEFAULT_VALUATION_CAP = 1_000_000
 
 
 class Model(str, Enum):
@@ -42,7 +44,7 @@ class Schema:
         for a in attrs:
             if not isinstance(a, str) or not a or a != a.strip():
                 raise SchemaError(f"attribute name {a!r} must be a non-empty trimmed string")
-            if any(c in _STRUCTURAL for c in a) or "\n" in a:
+            if not _RESERVED.isdisjoint(a):
                 raise SchemaError(f"attribute name {a!r}: characters ,|{{}}() are reserved")
         if len(set(attrs)) != len(attrs):
             raise SchemaError(f"duplicate attribute names in {attrs}")
@@ -70,7 +72,7 @@ class Schema:
 
 
 _CELL_OPEN, _CELL_SEP, _CELL_CLOSE = "{", "|", "}"
-_STRUCTURAL = set(",|{}()")
+_RESERVED = frozenset(",|{}()\n")
 
 
 def check_value(v: str) -> str:
@@ -81,7 +83,7 @@ def check_value(v: str) -> str:
     """
     if not isinstance(v, str) or not v or v != v.strip():
         raise SchemaError(f"bad value {v!r}: must be a non-empty trimmed string")
-    if any(c in _STRUCTURAL for c in v) or "\n" in v:
+    if not _RESERVED.isdisjoint(v):
         raise SchemaError(f"bad value {v!r}: characters ,|{{}}() are reserved")
     return sys.intern(v)
 
@@ -321,13 +323,17 @@ def tuple_intersection(t1: AnyTuple, t2: AnyTuple) -> Optional[AnyTuple]:
     return DisjunctiveTuple(t1.schema, common)
 
 
-def enumerate_worlds(table: Table, limit: Optional[int] = None) -> list:
+def enumerate_worlds(table: Table, limit: Optional[int] = None, cap: int = DEFAULT_VALUATION_CAP) -> list:
     """All distinct possible worlds, canonically ordered: one per valuation
     of the table, with equal worlds collapsed.
 
     Raises WorldLimitExceeded as soon as the number of distinct worlds passes
-    `limit`.
+    `limit`.  Cost: one product step per valuation of the table; a table with
+    more than `cap` of them raises ValuationBudgetExceeded before any world
+    is built.
     """
+    if table.valuation_count() > cap:
+        raise ValuationBudgetExceeded(cap)
     seen = set()
     choices = ([t.values] if isinstance(t, StandardTuple) else t.valuations() for t in table.tuples)
     for combo in itertools.product(*choices):

@@ -15,7 +15,8 @@ Six interpretations are supported:
 Seamless satisfaction (one world satisfying a whole FD set at once) is a
 set-level check and is exposed as `check_seamless`.  Checking it is
 NP-complete, so it carries a search budget; its backtracking search keeps
-each tuple's domain forward-checked through a `binding -> tuples` index.
+each tuple's domain forward-checked through a `binding -> tuples` index and
+takes the smallest one from a lazy heap.
 Weak is seamless satisfaction of a one-FD set.  The standard, strong, pfd
 and vertical checks share one core: `contributions` (a tuple's binding ->
 answer set pairs) and `_first_disagreement` (one hash pass over them).  No
@@ -24,9 +25,10 @@ checker enumerates possible worlds.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,6 +36,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import ModelError, ValuationBudgetExceeded
 from .model import (
+    DEFAULT_VALUATION_CAP,
     DisjunctiveTuple,
     Model,
     StandardTuple,
@@ -41,8 +44,6 @@ from .model import (
     VagueTuple,
     to_disjunctive,
 )
-
-DEFAULT_VALUATION_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -286,6 +287,11 @@ def check_weak(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFA
 # ---------------------------------------------------------------------------
 
 
+def _getter(pos: tuple):
+    """Row projector onto `pos`: a scalar for one position, () for none."""
+    return operator.itemgetter(*pos) if pos else lambda row: ()
+
+
 def check_seamless(
     table: Table,
     fds: Iterable[FunctionalDependency],
@@ -300,28 +306,35 @@ def check_seamless(
     binding's unassigned holders (forward checking over a `binding -> tuples`
     index), and backtracking restores them from a trail.  The smallest domain
     is branched on (fail-first, the lowest index on ties), and an empty one
-    is a dead end.  After the first dead end, a row is no longer tried when
-    it gives a binding an rhs value that a tuple with that single lhs binding
+    is a dead end; a lazy heap keyed by (domain size, at least 1; index)
+    finds it.  After the first dead end, a row is no longer tried when it
+    gives a binding an rhs value that a tuple with that single lhs binding
     cannot take.  Raises ValuationBudgetExceeded after `budget` candidate
     extensions.  Cost: exponential in tuples in the worst case (the problem
     is NP-complete); without backtracking, each new binding filters its
-    holders once per FD and each node reads every unassigned domain's size.
+    holders once per FD, and each node costs O(log n) heap work per domain
+    that changed.
     """
     fds = list(fds)
-    positions = [_fd_positions(table.schema, fd) for fd in fds]
+    getters = [tuple(map(_getter, _fd_positions(table.schema, fd))) for fd in fds]
     _require_within(table, budget)
-    domains = [[t.values] if isinstance(t, StandardTuple) else list(t.valuations()) for t in table.tuples]
+    valuations = [[t.values] if isinstance(t, StandardTuple) else list(t.valuations()) for t in table.tuples]
+    domains = valuations.copy()  # lists are replaced, never changed in place
     # Per FD: binding -> the tuples with a valuation carrying it.
     holders = [dict() for _ in fds]
-    for j, rows in enumerate(domains):
-        for h, (x_pos, _) in zip(holders, positions):
-            for key in {tuple(row[i] for i in x_pos) for row in rows}:
+    for j, rows in enumerate(valuations):
+        for h, (xg, _) in zip(holders, getters):
+            for key in set(map(xg, rows)):
                 h.setdefault(key, []).append(j)
     # Per FD: binding -> [y-value, multiplicity] over the chosen rows.
     maps = [dict() for _ in fds]
     chosen = []
-    unassigned = list(range(len(domains)))  # kept sorted
-    free = [True] * len(domains)  # i in unassigned
+    free = [True] * len(domains)
+    # (max(len(domain), 1), index) for every free tuple, plus stale entries
+    # that `branch` skips.  Sizes 0 and 1 share a key, so the first tuple
+    # with at most one row comes out first, as a scan in index order finds it.
+    heap = [(len(rows) or 1, j) for j, rows in enumerate(domains)]
+    heapq.heapify(heap)
     # Per push: (tuple, its domain before the push shrank it).
     trail = []
     attempts = 0
@@ -333,76 +346,78 @@ def check_seamless(
     allowed = []
 
     def fill_allowed():
-        for x_pos, y_pos in positions:
+        for xg, yg in getters:
             a = {}
-            for t in table.tuples:
-                pairs = contributions(t, x_pos, y_pos, budget)
-                if len(pairs) == 1:
-                    key, ys = pairs[0]
+            for rows in valuations:
+                keys = set(map(xg, rows))
+                if len(keys) == 1:
+                    key = keys.pop()
+                    ys = frozenset(map(yg, rows))
                     a[key] = a[key] & ys if key in a else ys
             allowed.append(a)
 
     def viable(row) -> bool:
-        for a, (x_pos, y_pos) in zip(allowed, positions):
-            ys = a.get(tuple(row[i] for i in x_pos))
-            if ys is not None and tuple(row[i] for i in y_pos) not in ys:
+        for a, (xg, yg) in zip(allowed, getters):
+            ys = a.get(xg(row))
+            if ys is not None and yg(row) not in ys:
                 return False
         return True
 
     def push(row):
         shrunk = []
-        for m, h, (x_pos, y_pos) in zip(maps, holders, positions):
-            key = tuple(row[i] for i in x_pos)
+        for m, h, (xg, yg) in zip(maps, holders, getters):
+            key = xg(row)
             slot = m.get(key)
             if slot is not None:
                 slot[1] += 1
                 continue
-            y = tuple(row[i] for i in y_pos)
+            y = yg(row)
             m[key] = [y, 1]
             for j in h[key]:
                 if free[j]:
-                    kept = [r for r in domains[j]
-                            if tuple(r[i] for i in x_pos) != key or tuple(r[i] for i in y_pos) == y]
+                    kept = [r for r in domains[j] if xg(r) != key or yg(r) == y]
                     if len(kept) < len(domains[j]):
                         shrunk.append((j, domains[j]))
                         domains[j] = kept
+                        heapq.heappush(heap, (len(kept) or 1, j))
         trail.append(shrunk)
         chosen.append(row)
 
     def pop():
         row = chosen.pop()
-        for m, (x_pos, _) in zip(maps, positions):
-            key = tuple(row[i] for i in x_pos)
+        for m, (xg, _) in zip(maps, getters):
+            key = xg(row)
             slot = m[key]
             slot[1] -= 1
             if slot[1] == 0:
                 del m[key]
         for j, old in reversed(trail.pop()):
             domains[j] = old
+            heapq.heappush(heap, (len(old) or 1, j))
 
     def branch():
         """The tuple index to branch on, or None at a dead end."""
-        best = None
-        for i in unassigned:
-            size = len(domains[i])
-            if not size:
-                if not allowed:
-                    fill_allowed()
-                return None
-            if best is None or size < len(domains[best]):
-                best = i
-                if size == 1:
-                    break
-        return best
+        if len(heap) > 4 * len(domains):  # keep a long search's heap O(n)
+            heap[:] = [(len(rows) or 1, j) for j, rows in enumerate(domains) if free[j]]
+            heapq.heapify(heap)
+        while True:
+            size, i = heap[0]
+            if free[i] and size == (len(domains[i]) or 1):
+                break
+            heapq.heappop(heap)
+        if domains[i]:
+            return i
+        if not allowed:
+            fill_allowed()
+        return None
 
     # One frame per branched tuple: (tuple index, its untried rows).  Every
     # frame but a freshly opened one has its current row pushed, so a top
     # frame with as many rows chosen as frames open has hit a dead end.
     stack = []
-    while unassigned:
+    while len(stack) < len(domains):
         node = branch()
         if node is not None:
-            del unassigned[bisect.bisect_left(unassigned, node)]
             free[node] = False
             stack.append((node, filter(viable, domains[node])))
         while stack:
@@ -413,7 +428,7 @@ def check_seamless(
                 break
             i = stack.pop()[0]
             free[i] = True
-            bisect.insort(unassigned, i)
+            heapq.heappush(heap, (len(domains[i]) or 1, i))
         else:
             return None
         attempts += 1

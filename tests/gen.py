@@ -92,3 +92,11 @@ def grouped_vague_table(rng: random.Random, n: int, group=10, pool=4):
     fds = [FunctionalDependency({"K"}, {"C"}), FunctionalDependency({"K", "L"}, {"C", "D"}),
            FunctionalDependency({"K"}, {"D"})]
     return Table.vague(["K", "L", "C", "D", "F"], rows), fds
+
+
+def unique_lhs_vague_table(rng: random.Random, n: int):
+    """n vague tuples over X, Y, Z and the FD Z -> Y: Z is unique, so the FD
+    holds weakly and no tuple ever narrows another; Y holds 1-2 of 3 values
+    and X = x{i//3}."""
+    rows = [(f"x{i // 3}", frozenset(rng.sample(VALUES, rng.randint(1, 2))), f"z{i}") for i in range(n)]
+    return Table.vague(["X", "Y", "Z"], rows), FunctionalDependency({"Z"}, {"Y"})

@@ -36,9 +36,9 @@ from fdlab import (
     solve_3dm_bruteforce,
 )
 from fdlab.cli import main as cli_main
-from fdlab.pfd_index import bench_inserts
 
 import tables as T
+from insert_bench import bench_inserts
 from oracles import check_pfd_decomposed
 from tables import fd
 from gen import (

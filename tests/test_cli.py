@@ -288,6 +288,23 @@ class TestCliWorldsClosureGen3dm:
     def test_worlds_limit_exits_two(self):
         assert run_cli("worlds", "--table", str(DATA / "transitivity_trap.vtab"), "--limit", "2") == 2
 
+    @pytest.mark.parametrize("cap, env, want", [("3", None, 2), ("4", None, 0), (None, "3", 2), ("4", "3", 0)])
+    def test_worlds_cap_is_resolved_as_check_resolves_it(self, cap, env, want, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("FDLAB_WORLD_CAP", env)
+        argv = ["worlds", "--table", str(DATA / "transitivity_trap.vtab")]  # four valuations
+        assert run_cli(*argv, *(["--cap", cap] if cap else [])) == want
+        assert ("valuation budget of 3 exhausted" in capsys.readouterr().err) == (want == 2)
+
+    def test_worlds_past_the_default_cap_exits_two_at_once(self):
+        # 2^30 valuations: without the cap the product would run for days.
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdlab.cli", "worlds", "--table", str(DATA / "two_candidates_30.vtab")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "fdlab: valuation budget of 1000000 exhausted before an exact answer\n"
+
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_limit_below_one_is_a_usage_error(self, limit, capsys):
         assert run_cli("worlds", "--table", str(DATA / "transitivity_trap.vtab"), "--limit", limit) == 2
@@ -322,35 +339,6 @@ class TestCliWorldsClosureGen3dm:
             "check", "--table", str(out_table), "--fds", str(out_fds),
             "--semantics", "seamless",
         ) == 0
-
-
-class TestCliBench:
-    def test_synthetic_bench_report(self, capsys):
-        assert run_cli("bench", "--sizes", "20,40", "--probes", "10") == 0
-        out = capsys.readouterr().out
-        assert "median_spread" in out
-
-    @pytest.mark.parametrize("argv", [
-        ("--probes", "0"), ("--probes", "1"), ("--probes", "-3"), ("--sizes", "0,-5"), ("--sizes", "10,x"),
-    ])
-    def test_bad_sizes_and_probes_are_usage_errors(self, argv, capsys):
-        assert run_cli("bench", *argv) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith(f"fdlab bench: error: argument {argv[0]}: must be an integer")
-
-    def test_table_replay_bench(self, capsys):
-        assert run_cli(
-            "bench", "--table", str(DATA / "no_joint_world.dtab"), "--fds", str(DATA / "ssn_names.fds"),
-        ) == 2  # ssn_names.fds names attributes this table lacks
-
-    def test_table_replay_bench_ok(self, capsys):
-        assert run_cli(
-            "bench", "--table", str(DATA / "no_joint_world.dtab"), "--fds",
-            str(DATA / "a_to_c.fds"),
-        ) == 0
-        out = capsys.readouterr().out
-        assert "accepted: " in out
 
 
 def test_console_script_runs():

@@ -9,6 +9,7 @@ from fdlab import (
     SchemaError,
     StandardTuple,
     Table,
+    ValuationBudgetExceeded,
     VagueTuple,
     WorldLimitExceeded,
     ModelError,
@@ -140,6 +141,12 @@ class TestWorlds:
         with pytest.raises(WorldLimitExceeded):
             enumerate_worlds(TRANSITIVITY_TRAP, limit=3)
         assert len(enumerate_worlds(TRANSITIVITY_TRAP, limit=4)) == 4
+
+    def test_cap_bounds_the_product_steps(self):
+        # Four valuations: a cap of 3 raises before any world is built.
+        with pytest.raises(ValuationBudgetExceeded):
+            enumerate_worlds(TRANSITIVITY_TRAP, cap=3)
+        assert len(enumerate_worlds(TRANSITIVITY_TRAP, cap=4)) == 4
 
     def test_no_joint_world_table_has_four_worlds(self):
         assert len(enumerate_worlds(NO_JOINT_WORLD)) == 4

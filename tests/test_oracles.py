@@ -1,6 +1,7 @@
 """The hash-linear finders agree with their pairwise definitions, strong
 and weak agree with their possible-world definitions, the forward-checked
-seamless search returns the plain search's world, the component valuation
+seamless search returns the plain search's world (and the worlds and step
+counts pinned from the full-scan search), the component valuation
 flood returns the worklist flood's rows, and the linear closure gives the
 pass loop's closures and the restart-from-the-top derivations."""
 
@@ -99,6 +100,73 @@ def test_seamless_returns_the_plain_searchs_world():
             assert world == O.seamless_world(out.table, out.fds)
             found += world is not None
     assert 220 < found < 680
+
+
+def _least_budget(table, fds):
+    """The least budget under which `check_seamless` does not raise: the
+    search's step count, or the largest tuple's valuation count if that is
+    higher.  Doubling, then bisection."""
+    def raises(budget):
+        try:
+            check_seamless(table, fds, budget)
+        except ValuationBudgetExceeded:
+            return True
+        return False
+
+    hi = 1
+    while raises(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if raises(mid) else (lo, mid)
+    return hi
+
+
+# Computed with the search that read every unassigned domain at every node.
+# (n, least budget, world) of 3DM reductions, seed 11.  Here the
+# search takes fewer steps than the largest tuple has valuations, so the
+# budgets are that floor and the worlds carry the pin.
+PINNED_3DM = [
+    (2, 16, 'x0,y1,z1,t2; x1,y0,z0,t3'),
+    (2, 8, 'x0,y1,z1,t3; x1,y0,z0,t2'),
+    (2, 16, 'x0,y1,z0,t1; x1,y0,z1,t5'),
+    (3, 10, 'x0,y1,z2,t1; x1,y0,z1,t3; x2,y2,z0,t2'),
+    (3, 36, 'x0,y2,z2,t7; x1,y0,z1,t4; x2,y1,z0,t6'),
+    (3, 36, None),
+    (3, 27, None),
+    (4, 64, None),
+    (4, 32, None),
+    (4, 64, None),
+    (4, 32, None),
+    (4, 64, None),
+    (5, 125, None),
+    (5, 100, 'x0,y2,z4,t6; x1,y1,z1,t3; x2,y0,z3,t9; x3,y3,z0,t5; x4,y4,z2,t1'),
+    (5, 100, None),
+    (5, 125, None),
+    (5, 75, None),
+    (6, 180, None),
+    (6, 108, None),
+    (6, 108, None),
+]
+# Least budgets of seeded vague and disjunctive tables, seed 21; most lie
+# above the valuation floor, so they count the search's steps.
+PINNED_BUDGETS = [7, 4, 4, 4, 6, 2, 3, 3, 3, 6, 9, 3, 6, 3, 24, 4, 4, 1, 9, 3, 18, 3, 6, 4, 6, 3, 18, 6, 6, 5, 4, 3, 6, 3, 4, 5, 3, 2, 4, 3]
+
+
+def test_search_worlds_and_steps_are_pinned():
+    rng = random.Random(11)
+    for n, budget, world in PINNED_3DM:
+        out = generate_3dm_reduction(rand_3dm_instance(rng, n))
+        found = check_seamless(out.table, out.fds)
+        assert (None if found is None else "; ".join(t.render() for t in found.tuples)) == world
+        assert _least_budget(out.table, out.fds) == budget
+    rng = random.Random(21)
+    budgets = []
+    for k in range(40):
+        table = GENERATORS[1 + k % 2](rng, max_attrs=4, max_tuples=10)
+        budgets.append(_least_budget(table, rand_fd_set(rng, table.schema.attributes, max_fds=4)))
+    assert budgets == PINNED_BUDGETS
 
 
 def _flood_cases(rng, count=300, max_tuples=8):

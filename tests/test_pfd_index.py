@@ -15,9 +15,9 @@ from fdlab import (
     VagueTuple,
     check_pfd,
 )
-from fdlab.pfd_index import bench_inserts
 
 import tables as T
+from insert_bench import bench_inserts
 from tables import fd
 from gen import rand_cell
 

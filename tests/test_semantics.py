@@ -34,7 +34,7 @@ from fdlab.semantics import find_pfd_violation
 import tables as T
 from oracles import check_pfd_decomposed
 from tables import fd
-from gen import grouped_vague_table, rand_disjunctive_table, rand_fd, rand_vague_table
+from gen import grouped_vague_table, rand_disjunctive_table, rand_fd, rand_vague_table, unique_lhs_vague_table
 
 
 class TestSelect:
@@ -108,6 +108,15 @@ class TestStrongWeak:
             check_strong(r, fd("A", "A"), valuation_cap=1)
 
 
+def assert_world_satisfying(w, r, fds):
+    """`w` takes one valuation of every tuple of `r` and satisfies `fds`."""
+    assert all(check_standard(w, f) for f in fds)
+    valuations = [set(t.valuations()) for t in r.tuples]
+    rows = {t.values for t in w.tuples}
+    assert rows <= set().union(*valuations)
+    assert all(v & rows for v in valuations)
+
+
 class TestSeamless:
     def test_transitivity_trap_pair_unsatisfiable(self):
         assert check_seamless(T.TRANSITIVITY_TRAP, [T.AB, T.BC]) is None
@@ -139,11 +148,24 @@ class TestSeamless:
         start = time.perf_counter()
         w = check_seamless(r, fds)
         assert time.perf_counter() - start < 5
-        assert all(check_standard(w, f) for f in fds)
-        valuations = [set(t.valuations()) for t in r.tuples]
-        rows = {t.values for t in w.tuples}
-        assert rows <= set().union(*valuations)
-        assert all(v & rows for v in valuations)
+        assert_world_satisfying(w, r, fds)
+
+    def test_search_without_dead_ends_branches_in_log_time(self):
+        # 10,000 tuples: reading every unassigned tuple's domain size at
+        # every node takes ~7 s.
+        r, fds = grouped_vague_table(random.Random(2), 10_000)
+        start = time.perf_counter()
+        w = check_seamless(r, fds)
+        assert time.perf_counter() - start < 5
+        assert_world_satisfying(w, r, fds)
+
+    def test_weak_without_narrowing_branches_in_log_time(self):
+        # 30,000 tuples, each the only holder of its lhs binding: reading
+        # every unassigned tuple's domain size at every node takes ~30 s.
+        r, f = unique_lhs_vague_table(random.Random(1), 30_000)
+        start = time.perf_counter()
+        assert check_weak(r, f)
+        assert time.perf_counter() - start < 5
 
 
 class TestPfd:
