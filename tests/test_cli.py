@@ -238,6 +238,15 @@ class TestCliCheck:
                 "--semantics", sem, "--cap", "1",
             ) == 2
 
+    def test_cap_bounds_rm_pairs(self, tmp_path, capsys):
+        deps = tmp_path / "empty.fds"
+        deps.write_text(" -> B\n")
+        argv = ["check", "--table", str(DATA / "resemblance_trap.vtab"), "--fds", str(deps), "--semantics", "rm"]
+        assert run_cli(*argv) == 1
+        assert "violation: resemblance-drops t1=(a1,b2,c1) t2=(a2,b3,c2) lhs=1 rhs=0\n" in capsys.readouterr().out
+        assert run_cli(*argv, "--cap", "1") == 2
+        assert "valuation budget of 1 exhausted" in capsys.readouterr().err
+
 
 class TestCliValuate:
     def test_worked_example(self, tmp_path):

@@ -6,12 +6,14 @@ flood returns the worklist flood's rows, and the linear closure gives the
 pass loop's closures and the restart-from-the-top derivations."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from fdlab import (
     FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, attribute_closure,
-    check_pfd, check_seamless, check_weak, derive, generate_3dm_reduction, implies, seamless_valuation_rows,
+    check_pfd, check_seamless, check_weak, derive, generate_3dm_reduction, implies, parse_fds, parse_table,
+    seamless_valuation_rows,
 )
 from fdlab.semantics import (
     _fd_positions,
@@ -52,6 +54,65 @@ def test_finders_return_the_oracles_violations():
             for variant in ("max", "min"):
                 assert find_rm_violation(table, f, variant) == O.find_rm_violation(table, f, variant)
     assert violated > 100  # enough violations that witnesses, not only verdicts, get compared
+
+
+DATA = Path(__file__).parent / "data"
+POOL = tuple(f"p{i}" for i in range(10))
+
+
+def _blocked_rm_cases(rng, count):
+    """Vague and standard tables of 20-60 tuples over 2-5 attributes, values
+    from a pool of 10, and FDs with 0-3 lhs attributes, so that most pairs
+    share no lhs value and blocking has pairs to skip.  Each rhs cell copies
+    the tuple's first lhs cell (a fixed cell for an empty lhs), which keeps
+    the FD; one tuple in 40 draws its rhs at random instead.  Every other
+    table also gains a copy of its last tuple in canonical order with a fresh
+    rhs value, which plants a violation at the end of the canonical order."""
+    for k in range(count):
+        attrs = [f"A{i}" for i in range(rng.randint(2, 5))]
+        lhs = rng.sample(attrs, rng.randint(0, min(3, len(attrs) - 1)))
+        rest = [a for a in attrs if a not in lhs]
+        rhs = rng.sample(rest, rng.randint(1, min(2, len(rest))))
+        vague = k % 2 == 0
+
+        def cell():
+            return frozenset(rng.sample(POOL, rng.choice((1, 1, 2, 3)))) if vague else rng.choice(POOL)
+
+        fixed = cell()
+        rows = []
+        for _ in range(rng.randint(20, 60)):
+            row = {a: cell() for a in attrs}
+            if rng.random() > 1 / 40:
+                row.update((a, row[lhs[0]] if lhs else fixed) for a in rhs)
+            rows.append([row[a] for a in attrs])
+        table = Table.vague(attrs, rows) if vague else Table.standard(attrs, rows)
+        if k % 4 < 2:
+            last = table.tuples[-1]
+            cells = list(last.cells if vague else last.values)
+            for a in rhs:
+                cells[attrs.index(a)] = "q9"
+            table = Table.vague(attrs, [*rows, cells]) if vague else Table.standard(attrs, [*rows, cells])
+        yield table, FunctionalDependency(lhs, rhs)
+
+
+def _data_rm_cases():
+    """Every vague table under tests/data with every dependency file over its schema."""
+    fd_sets = [parse_fds(p.read_text()) for p in sorted(DATA.glob("*.fds"))]
+    for path in sorted(DATA.glob("*.vtab")):
+        table = parse_table(path.read_text())
+        for fds in fd_sets:
+            yield from ((table, f) for f in fds if f.attributes() <= set(table.schema.attributes))
+
+
+def test_blocked_rm_returns_the_oracles_violation():
+    data = list(_data_rm_cases())
+    violated = 0
+    for table, f in [*data, *_blocked_rm_cases(random.Random(16), 200)]:
+        for variant in ("max", "min"):
+            want = O.find_rm_violation(table, f, variant)
+            violated += want is not None
+            assert find_rm_violation(table, f, variant) == want
+    assert len(data) > 40 and violated > 100
 
 
 def _valuations(t) -> set:

@@ -295,6 +295,25 @@ class TestResemblance:
         assert check_rm(single, T.AB)
         assert check_rm(single, fd("B", "A"))
 
+    def test_rm_counts_candidate_pairs_against_the_cap(self):
+        # No lhs, so all 1,400 * 1,399 / 2 = 979,300 pairs are candidates:
+        # within the default cap of 10^6, past a cap of 1,000.
+        r = Table.vague(["A", "B"], [(f"a{i}", {"b1", "b2"} if i % 2 else {"b1"}) for i in range(1_400)])
+        with pytest.raises(ValuationBudgetExceeded):
+            check_rm(r, fd("", "B"), pair_cap=1_000)
+        with pytest.raises(ValuationBudgetExceeded):
+            check(r, [fd("", "B")], Semantics.RM, valuation_cap=1_000)
+        assert check_rm(r, fd("", "B"))
+
+    def test_blocked_rm_scales_past_ten_thousand_rows(self):
+        # Scoring every pair of the 10,000-row unique-lhs table takes ~167 s.
+        unique, f = unique_lhs_vague_table(random.Random(1), 10_000)
+        grouped, fds = grouped_vague_table(random.Random(2), 10_000)
+        for r, f in [(unique, f), *((grouped, g) for g in fds)]:
+            start = time.perf_counter()
+            assert check_rm(r, f)
+            assert time.perf_counter() - start < 5
+
     def test_rm_rejects_disjunctive(self):
         with pytest.raises(ModelError):
             check_rm(T.NO_JOINT_WORLD, T.AB)
