@@ -14,6 +14,7 @@ deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -120,6 +121,12 @@ class StandardTuple:
     def model(self) -> Model:
         return Model.STANDARD
 
+    def valuations(self) -> Iterator[Row]:
+        return iter((self.values,))
+
+    def valuation_count(self) -> int:
+        return 1
+
     def sort_key(self):
         return self.values
 
@@ -153,10 +160,7 @@ class VagueTuple:
         return itertools.product(*(sorted(c) for c in self.cells))
 
     def valuation_count(self) -> int:
-        n = 1
-        for c in self.cells:
-            n *= len(c)
-        return n
+        return math.prod(map(len, self.cells))
 
     def sort_key(self):
         return tuple(tuple(sorted(c)) for c in self.cells)
@@ -251,10 +255,7 @@ class Table:
         return iter(self.tuples)
 
     def valuation_count(self) -> int:
-        n = 1
-        for t in self.tuples:
-            n *= 1 if isinstance(t, StandardTuple) else t.valuation_count()
-        return n
+        return math.prod(t.valuation_count() for t in self.tuples)
 
 
 World = Table  # a possible world is a standard table
@@ -335,8 +336,7 @@ def enumerate_worlds(table: Table, limit: Optional[int] = None, cap: int = DEFAU
     if table.valuation_count() > cap:
         raise ValuationBudgetExceeded(cap)
     seen = set()
-    choices = ([t.values] if isinstance(t, StandardTuple) else t.valuations() for t in table.tuples)
-    for combo in itertools.product(*choices):
+    for combo in itertools.product(*(t.valuations() for t in table.tuples)):
         seen.add(Table.standard(table.schema, combo))
         if limit is not None and len(seen) > limit:
             raise WorldLimitExceeded(limit)
@@ -346,8 +346,6 @@ def enumerate_worlds(table: Table, limit: Optional[int] = None, cap: int = DEFAU
 def to_disjunctive_tuple(t: AnyTuple) -> DisjunctiveTuple:
     if isinstance(t, DisjunctiveTuple):
         return t
-    if isinstance(t, StandardTuple):
-        return DisjunctiveTuple(t.schema, (t.values,))
     return DisjunctiveTuple(t.schema, t.valuations())
 
 

@@ -44,7 +44,7 @@ from .model import (
     StandardTuple,
     Table,
     VagueTuple,
-    to_disjunctive,
+    to_disjunctive_tuple,
 )
 
 
@@ -222,7 +222,7 @@ def check_standard(table: Table, fd: FunctionalDependency) -> bool:
 def _require_within(table: Table, cap: int) -> None:
     """Raise ValuationBudgetExceeded if a tuple has more than `cap` valuations."""
     for t in table.tuples:
-        if not isinstance(t, StandardTuple) and t.valuation_count() > cap:
+        if t.valuation_count() > cap:
             raise ValuationBudgetExceeded(cap)
 
 
@@ -311,7 +311,8 @@ def check_seamless(
     is a dead end; a lazy heap keyed by (domain size, at least 1; index)
     finds it.  After the first dead end, a row is no longer tried when it
     gives a binding an rhs value that a tuple with that single lhs binding
-    cannot take.  Raises ValuationBudgetExceeded after `budget` candidate
+    cannot take.  Raises ValuationBudgetExceeded before the search if a
+    tuple has more than `budget` valuations, and after `budget` candidate
     extensions.  Cost: exponential in tuples in the worst case (the problem
     is NP-complete); without backtracking, each new binding filters its
     holders once per FD, and each node costs O(log n) heap work per domain
@@ -320,7 +321,7 @@ def check_seamless(
     fds = list(fds)
     getters = [tuple(map(_getter, _fd_positions(table.schema, fd))) for fd in fds]
     _require_within(table, budget)
-    valuations = [[t.values] if isinstance(t, StandardTuple) else list(t.valuations()) for t in table.tuples]
+    valuations = [list(t.valuations()) for t in table.tuples]
     domains = valuations.copy()  # lists are replaced, never changed in place
     # Per FD: binding -> the tuples with a valuation carrying it.
     holders = [dict() for _ in fds]
@@ -469,45 +470,38 @@ def check_pfd(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAU
 # ---------------------------------------------------------------------------
 
 
-def _mvd_holds(t, x_pos: tuple, z_pos: tuple) -> bool:
-    """X ->> Z within one disjunctive tuple.  Under each lhs binding the rows
-    must be the product of their Z and rest projections; the rows number at
-    most the product of the two projections' sizes, with equality exactly
-    then.  Linear in disjuncts."""
-    w_pos = tuple(p for p in range(len(t.schema)) if p not in x_pos and p not in z_pos)
-    per_binding = zip(*(contributions(t, x_pos, pos) for pos in (z_pos, w_pos, z_pos + w_pos)))
-    return all(len(z) * len(w) == len(zw) for (_, z), (_, w), (_, zw) in per_binding)
-
-
 def find_vertical_violation(
     table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP
 ) -> Optional[Violation]:
-    """Three conditions over the disjunctive form: cross-tuple answer-set
-    agreement, per-tuple product form on rhs-minus-lhs, and a per-tuple
-    multivalued dependency lhs ->> rhs-minus-lhs.
-
-    Cost: linear in total valuations.  A tuple with more than
-    `valuation_cap` valuations raises ValuationBudgetExceeded before the
-    conversion."""
+    """Three conditions over the disjunctive form, read off the table's own
+    tuples in that form's order (by sorted valuations): cross-tuple answer-set
+    agreement; per tuple and lhs binding, Z = rhs-minus-lhs rows that are the
+    product of their columns; and per tuple, the MVD lhs ->> Z (under each
+    binding, the rows are the product of their Z and rest projections).  Only
+    a reported tuple is converted.  Cost: linear in total valuations; a tuple
+    with more than `valuation_cap` valuations raises ValuationBudgetExceeded."""
     _require_within(table, valuation_cap)
-    dt = to_disjunctive(table)
-    agreement = find_pfd_violation(dt, fd)
-    if agreement is not None:
-        return agreement
-    x_pos = dt.schema.positions(fd.lhs)
-    rest_pos = dt.schema.positions(fd.rhs - fd.lhs)
-    for t in dt.tuples:
-        for b, projected in contributions(t, x_pos, rest_pos):
-            if math.prod(len({row[k] for row in projected}) for k in range(len(rest_pos))) != len(projected):
-                return Violation("not-a-product", (t,), b)
-        if not _mvd_holds(t, x_pos, rest_pos):
-            return Violation("mvd-fails", (t,))
+    tuples = sorted(table.tuples, key=lambda t: sorted(t.valuations()))
+    x_pos, y_pos = _fd_positions(table.schema, fd)
+    hit = _first_disagreement(tuples, lambda t: contributions(t, x_pos, y_pos, valuation_cap), "answer-sets-differ")
+    if hit is not None:
+        return Violation(hit.reason, tuple(map(to_disjunctive_tuple, hit.tuples)), hit.binding)
+    z_pos = table.schema.positions(fd.rhs - fd.lhs)
+    zw_pos = z_pos + tuple(p for p in range(len(table.schema)) if p not in x_pos and p not in z_pos)
+    nz = len(z_pos)
+    for t in tuples:
+        groups = [(b, {row[:nz] for row in rows}, rows) for b, rows in contributions(t, x_pos, zw_pos, valuation_cap)]
+        for b, z, _ in groups:
+            if math.prod(len(set(column)) for column in zip(*z)) != len(z):
+                return Violation("not-a-product", (to_disjunctive_tuple(t),), b)
+        if any(len(z) * len({row[nz:] for row in rows}) != len(rows) for _, z, rows in groups):
+            return Violation("mvd-fails", (to_disjunctive_tuple(t),))
     return None
 
 
 def check_vertical(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP) -> bool:
-    """Vertical satisfaction; vague and standard tables are converted to their
-    disjunctive form first.  Cost as `find_vertical_violation`."""
+    """Vertical satisfaction, each tuple read as the disjunction of its
+    valuations; the table is not converted.  Cost as `find_vertical_violation`."""
     return find_vertical_violation(table, fd, valuation_cap) is None
 
 

@@ -199,7 +199,8 @@ def parse_3dm(text: str) -> ThreeDMInstance:
     """Instance file: first line `n`, then one `x y z` triple per line.
 
     Element-set membership is inferred by column; the declared `n` must match
-    the number of distinct elements seen in each column.
+    the number of distinct elements seen in each column; columns sharing an
+    element raise ParseError.
     """
     lines = [
         (i + 1, line.strip()) for i, line in enumerate(text.splitlines()) if line.strip()
@@ -226,7 +227,10 @@ def parse_3dm(text: str) -> ThreeDMInstance:
             raise ParseError(
                 f"{name} column names {len(cols[i])} distinct elements, expected {n}"
             )
-    return ThreeDMInstance(cols[0], cols[1], cols[2], triples)
+    try:
+        return ThreeDMInstance(cols[0], cols[1], cols[2], triples)
+    except ValueError as exc:  # columns sharing an element
+        raise ParseError(str(exc)) from None
 
 
 def serialize_3dm(inst: ThreeDMInstance) -> str:

@@ -1,6 +1,7 @@
 """Text formats and the command-line surface, including exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +239,39 @@ class TestCliCheck:
                 "--semantics", sem, "--cap", "1",
             ) == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_timing_is_reported_only_on_request(self, fmt, capsys):
+        argv = ["check", "--table", str(DATA / "joejack.vtab"), "--fds", str(DATA / "joejack.fds"),
+                "--semantics", "pfd", "--format", fmt]
+        run_cli(*argv, "--timing")
+        timed = capsys.readouterr().out
+        run_cli(*argv)
+        plain = capsys.readouterr().out
+        assert "elapsed_ms" not in plain
+        if fmt == "text":
+            assert re.fullmatch(r"elapsed_ms: \d+\.\d{3}", timed.splitlines()[-1])
+            assert timed.splitlines()[:-1] == plain.splitlines()
+        else:
+            payload = json.loads(timed)
+            elapsed = payload.pop("elapsed_ms")
+            assert isinstance(elapsed, (int, float)) and not isinstance(elapsed, bool)
+            assert payload == json.loads(plain)
+
+    @pytest.mark.parametrize("text, message", [
+        ("#model: vague\nA,B\na},{b|c}\n", "line 3: stray cell syntax in 'a}'"),
+        ("A,B\n(a,b)||c,d\n", "line 2: disjunct 'c,d' must be parenthesized"),
+        ("#model: vague\n# no header\n", "missing header row"),
+        ("A,A\n", "line 1: duplicate attribute names in ('A', 'A')"),
+        ("#model: vague\nA,B\n(a,b)\n", "line 3: disjunctive row in a vague table"),
+        ("A,B\na(b,c\n", "line 2: bad value 'a(b': characters ,|{}() are reserved"),
+    ])
+    def test_parse_errors_name_their_line(self, text, message, tmp_path, capsys):
+        table = tmp_path / "bad.tab"
+        table.write_text(text)
+        assert run_cli("check", "--table", str(table), "--fds", str(DATA / "a_to_c.fds"), "--semantics", "pfd") == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"fdlab: {message}\n" and captured.out == ""
+
     def test_cap_bounds_rm_pairs(self, tmp_path, capsys):
         deps = tmp_path / "empty.fds"
         deps.write_text(" -> B\n")
@@ -338,6 +372,14 @@ class TestCliWorldsClosureGen3dm:
         assert code == 0
         assert out_table.read_text() == (DATA / "matching_reduction.vtab").read_text()
         assert parse_fds(out_fds.read_text()) == parse_fds((DATA / "matching_reduction.fds").read_text())
+
+    def test_gen3dm_columns_sharing_an_element_exit_two(self, tmp_path, capsys):
+        inst = tmp_path / "shared.3dm"
+        inst.write_text("2\na b a\nc d c\n")
+        assert run_cli("gen3dm", "--instance", str(inst)) == 2
+        err = capsys.readouterr().err
+        assert err == "fdlab: element sets must be disjoint\n"
+        assert "Traceback" not in err
 
     def test_gen3dm_pipeline_check_exits_zero(self, tmp_path):
         out_table = tmp_path / "t.vtab"

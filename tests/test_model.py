@@ -161,6 +161,11 @@ class TestConversions:
         t = StandardTuple(S2, ("a", "b"))
         assert to_disjunctive_tuple(t).disjuncts == frozenset({("a", "b")})
 
+    def test_standard_tuple_has_its_values_as_one_valuation(self):
+        t = StandardTuple(S2, ("a", "b"))
+        assert list(t.valuations()) == [("a", "b")] and t.valuation_count() == 1
+        assert Table.standard(S2, [("a", "b"), ("a2", "b")]).valuation_count() == 1
+
     def test_world_sets_agree_after_conversion(self):
         assert set(enumerate_worlds(TRANSITIVITY_TRAP)) == set(enumerate_worlds(to_disjunctive(TRANSITIVITY_TRAP)))
 

@@ -56,6 +56,20 @@ def test_finders_return_the_oracles_violations():
     assert violated > 100  # enough violations that witnesses, not only verdicts, get compared
 
 
+def test_vertical_per_tuple_conditions_return_the_oracles_violations():
+    # random_cases almost never breaks a per-tuple condition; two tuples with
+    # up to six disjuncts break both.
+    rng = random.Random(13)
+    reasons = []
+    for _ in range(400):
+        table = rand_disjunctive_table(rng, max_attrs=4, max_tuples=2, max_disjuncts=6)
+        f = rand_fd(rng, table.schema.attributes)
+        want = O.find_vertical_violation(table, f)
+        assert find_vertical_violation(table, f) == want
+        reasons.append(want and want.reason)
+    assert reasons.count("not-a-product") > 5 and reasons.count("mvd-fails") > 10
+
+
 DATA = Path(__file__).parent / "data"
 POOL = tuple(f"p{i}" for i in range(10))
 
@@ -259,9 +273,16 @@ MERGE_TRAP = Table.vague(["K", "A", "B", "D"], [
 ])
 MERGE_TRAP_FDS = [FunctionalDependency({"A"}, {"D"}), FunctionalDependency({"B"}, {"D"})]
 
+# The P cells share u, so the two tuples could agree on P in the table as
+# given; once P is valued, they can agree only if both picked u.  A's
+# components must come from the narrowed P cells, not the original ones.
+NARROWED_LHS = Table.vague(["P", "A"], [[{"u", "v"}, {"x", "y"}], [{"u", "w"}, {"x", "y"}]])
+NARROWED_LHS_FDS = [FunctionalDependency({"P"}, {"A"})]
+
 
 def test_valuation_flood_returns_the_worklist_floods_rows():
     trap = [(MERGE_TRAP, MERGE_TRAP_FDS, pick) for pick in range(8)]
+    trap += [(NARROWED_LHS, NARROWED_LHS_FDS, pick) for pick in range(50)]
     for table, fds, pick in trap:
         assert seamless_valuation_rows(table, fds, seed=pick) == O.worklist_valuation_rows(table, fds, seed=pick)
     empty = wide = 0

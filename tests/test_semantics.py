@@ -29,7 +29,8 @@ from fdlab import (
     select,
     tuple_resemblance,
 )
-from fdlab.semantics import find_pfd_violation
+from fdlab import semantics
+from fdlab.semantics import find_pfd_violation, find_vertical_violation
 
 import tables as T
 from oracles import check_pfd_decomposed
@@ -246,6 +247,24 @@ class TestVertical:
         assert check_vertical(r, T.AB)
         assert check_vertical(r, fd("A", "B D"))
         assert time.perf_counter() - start < 5
+
+    def test_witnesses_come_in_the_disjunctive_forms_order(self):
+        # The vague order puts (a,y) first, as pfd reports it; the
+        # disjunctive form puts (a,x)||(b,x) first.
+        r = Table.vague(["A", "B"], [[{"a", "b"}, "x"], ["a", "y"]])
+        assert find_vertical_violation(r, T.AB).render() == "answer-sets-differ t1=((a,x)||(b,x)) t2=((a,y)) binding=(a)"
+        assert find_pfd_violation(r, T.AB).render() == "answer-sets-differ t1=(a,y) t2=({a|b},x) binding=(a)"
+
+    def test_only_reported_tuples_are_converted(self, monkeypatch):
+        converted = []
+        real = semantics.to_disjunctive_tuple
+        monkeypatch.setattr(semantics, "to_disjunctive_tuple", lambda t: converted.append(t) or real(t))
+        table, fds = grouped_vague_table(random.Random(2), 200)
+        assert all(check_vertical(table, f) for f in fds)
+        assert converted == []
+        r = Table.vague(["A", "B"], [[{"a", "b"}, "x"], ["a", "y"]])
+        assert not check_vertical(r, T.AB)
+        assert len(converted) == 2
 
     def test_vertical_known_discrepancy_on_ssn_table(self):
         # Known discrepancy: evaluated literally, all three conditions hold

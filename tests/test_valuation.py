@@ -196,3 +196,7 @@ class TestInstanceFormat:
     def test_disjoint_sets_required(self):
         with pytest.raises(ValueError):
             ThreeDMInstance(("e",), ("e",), ("z",), [("e", "e", "z")])
+
+    def test_columns_sharing_an_element_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="^element sets must be disjoint$"):
+            parse_3dm("2\na b a\nc d c\n")
