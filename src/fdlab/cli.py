@@ -41,6 +41,14 @@ def _at_least(low: int):
     return value
 
 
+def _names(text: str) -> list:
+    """An argparse type: comma-separated attribute names, stripped, none empty."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"attribute names must not be empty, got {text!r}")
+    return names
+
+
 def _world_cap(args) -> int:
     env = os.environ.get("FDLAB_WORLD_CAP")
     if args.cap is not None or env is None:
@@ -107,7 +115,7 @@ def cmd_worlds(args) -> int:
 
 def cmd_closure(args) -> int:
     fds = _load_fds(args.fds)
-    closed = attribute_closure(fds, args.attrs.split(","))
+    closed = attribute_closure(fds, args.attrs)
     _emit(args.out, ",".join(sorted(closed)) + "\n")
     return EXIT_OK
 
@@ -162,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="attribute closure under a dependency set")
     add_common(p, fds=True)
-    p.add_argument("--attrs", required=True, help="comma-separated attribute names")
+    p.add_argument("--attrs", required=True, type=_names, help="comma-separated attribute names")
     p.set_defaults(run=cmd_closure)
 
     p = sub.add_parser("gen3dm", help="reduce a matching instance to a table plus FDs")

@@ -24,12 +24,6 @@ from .model import Schema
 from .semantics import FunctionalDependency, _fd_positions, contributions
 
 
-@dataclass
-class Entry:
-    answers: frozenset
-    support: int
-
-
 @dataclass(frozen=True)
 class Conflict:
     """Dry-run insert verdict: the first disagreeing binding."""
@@ -46,7 +40,7 @@ class PfdIndex:
         self.fd = fd
         self.schema = schema
         self._positions = _fd_positions(schema, fd)
-        self._entries: dict = {}
+        self._entries: dict = {}  # binding -> [answer set, support count]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -58,7 +52,7 @@ class PfdIndex:
 
     def entries(self) -> dict:
         """Snapshot: binding -> (answer set, support count)."""
-        return {k: (e.answers, e.support) for k, e in self._entries.items()}
+        return {k: tuple(e) for k, e in self._entries.items()}
 
     def _contributions(self, t) -> list:
         if t.schema != self.schema:
@@ -70,9 +64,9 @@ class PfdIndex:
         entry (None if there is none)."""
         contributions = self._contributions(t)
         for b, answers in contributions:
-            entry = self._entries.get(b)
-            if entry is not None and entry.answers != answers:
-                return contributions, Conflict(b, entry.answers, answers)
+            stored = self._entries.get(b, (None,))[0]
+            if stored is not None and stored != answers:
+                return contributions, Conflict(b, stored, answers)
         return contributions, None
 
     def check(self, t) -> Optional[Conflict]:
@@ -85,25 +79,18 @@ class PfdIndex:
         if conflict is not None:
             raise PfdRejected(conflict.binding, conflict.stored, conflict.offered)
         for b, answers in contributions:
-            entry = self._entries.get(b)
-            if entry is None:
-                self._entries[b] = Entry(answers, 1)
-            else:
-                entry.support += 1
+            self._entries.setdefault(b, [answers, 0])[1] += 1
 
     def remove(self, t) -> None:
         """Undo one prior insert of `t`; errors if `t` was never accepted."""
         contributions = self._contributions(t)
         for b, answers in contributions:
-            entry = self._entries.get(b)
-            if entry is None or entry.answers != answers:
-                raise IndexContractError(
-                    f"tuple was never inserted: no matching entry for binding {b}"
-                )
+            if self._entries.get(b, (None,))[0] != answers:
+                raise IndexContractError(f"tuple was never inserted: no matching entry for binding {b}")
         for b, _ in contributions:
             entry = self._entries[b]
-            entry.support -= 1
-            if entry.support == 0:
+            entry[1] -= 1
+            if not entry[1]:
                 del self._entries[b]
 
     @classmethod

@@ -306,7 +306,7 @@ def check_seamless(
     unassigned tuple keeps its domain, the valuations compatible with the
     choices so far: a row that opens a new lhs binding re-filters only that
     binding's unassigned holders (forward checking over a `binding -> tuples`
-    index), and backtracking restores them from a trail.  The smallest domain
+    index), and backtracking undoes each frame's own row.  The smallest domain
     is branched on (fail-first, the lowest index on ties), and an empty one
     is a dead end; a lazy heap keyed by (domain size, at least 1; index)
     finds it.  After the first dead end, a row is no longer tried when it
@@ -323,23 +323,19 @@ def check_seamless(
     _require_within(table, budget)
     valuations = [list(t.valuations()) for t in table.tuples]
     domains = valuations.copy()  # lists are replaced, never changed in place
-    # Per FD: binding -> the tuples with a valuation carrying it.
+    # Per FD: binding -> the tuples with a valuation carrying it.  The entry
+    # of a binding that a chosen row opened is away, in that row's undo log.
     holders = [dict() for _ in fds]
     for j, rows in enumerate(valuations):
         for h, (xg, _) in zip(holders, getters):
             for key in set(map(xg, rows)):
                 h.setdefault(key, []).append(j)
-    # Per FD: binding -> [y-value, multiplicity] over the chosen rows.
-    maps = [dict() for _ in fds]
-    chosen = []
     free = [True] * len(domains)
     # (max(len(domain), 1), index) for every free tuple, plus stale entries
     # that `branch` skips.  Sizes 0 and 1 share a key, so the first tuple
     # with at most one row comes out first, as a scan in index order finds it.
     heap = [(len(rows) or 1, j) for j, rows in enumerate(domains)]
     heapq.heapify(heap)
-    # Per push: (tuple, its domain before the push shrank it).
-    trail = []
     attempts = 0
     # Per FD: binding -> the rhs values allowed by every tuple whose
     # valuations all carry that binding.  Any world gives such a tuple one of
@@ -366,37 +362,32 @@ def check_seamless(
                 return False
         return True
 
-    def push(row):
-        shrunk = []
-        for m, h, (xg, yg) in zip(maps, holders, getters):
+    def push(row) -> list:
+        """Choose `row`; return its undo log: (container, key, old value) for
+        each binding it opened, taken out of `holders`, and each domain it shrank."""
+        log = []
+        for h, (xg, yg) in zip(holders, getters):
             key = xg(row)
-            slot = m.get(key)
-            if slot is not None:
-                slot[1] += 1
+            js = h.pop(key, None)
+            if js is None:
                 continue
+            log.append((h, key, js))
             y = yg(row)
-            m[key] = [y, 1]
-            for j in h[key]:
+            for j in js:
                 if free[j]:
                     kept = [r for r in domains[j] if xg(r) != key or yg(r) == y]
                     if len(kept) < len(domains[j]):
-                        shrunk.append((j, domains[j]))
+                        log.append((domains, j, domains[j]))
                         domains[j] = kept
                         heapq.heappush(heap, (len(kept) or 1, j))
-        trail.append(shrunk)
-        chosen.append(row)
+        return log
 
-    def pop():
-        row = chosen.pop()
-        for m, (xg, _) in zip(maps, getters):
-            key = xg(row)
-            slot = m[key]
-            slot[1] -= 1
-            if slot[1] == 0:
-                del m[key]
-        for j, old in reversed(trail.pop()):
-            domains[j] = old
-            heapq.heappush(heap, (len(old) or 1, j))
+    def undo(log):
+        """Undo a `push`, last in, first out: a binding closes with its opener."""
+        for container, key, old in reversed(log):
+            container[key] = old
+            if container is domains:
+                heapq.heappush(heap, (len(old) or 1, key))
 
     def branch():
         """The tuple index to branch on, or None at a dead end."""
@@ -414,19 +405,18 @@ def check_seamless(
             fill_allowed()
         return None
 
-    # One frame per branched tuple: (tuple index, its untried rows).  Every
-    # frame but a freshly opened one has its current row pushed, so a top
-    # frame with as many rows chosen as frames open has hit a dead end.
+    # One frame per branched tuple: [tuple index, its untried rows, its
+    # current row, that row's undo log]; a fresh frame has no row, an empty log.
     stack = []
     while len(stack) < len(domains):
         node = branch()
         if node is not None:
             free[node] = False
-            stack.append((node, filter(viable, domains[node])))
+            stack.append([node, filter(viable, domains[node]), None, ()])
         while stack:
-            if len(chosen) == len(stack):
-                pop()
-            row = next(stack[-1][1], None)
+            frame = stack[-1]
+            undo(frame[3])
+            row = next(frame[1], None)
             if row is not None:
                 break
             i = stack.pop()[0]
@@ -437,8 +427,8 @@ def check_seamless(
         attempts += 1
         if attempts > budget:
             raise ValuationBudgetExceeded(budget)
-        push(row)
-    return Table.standard(table.schema, chosen)
+        frame[2:] = row, push(row)
+    return Table.standard(table.schema, [frame[2] for frame in stack])
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +468,17 @@ def find_vertical_violation(
     agreement; per tuple and lhs binding, Z = rhs-minus-lhs rows that are the
     product of their columns; and per tuple, the MVD lhs ->> Z (under each
     binding, the rows are the product of their Z and rest projections).  Only
-    a reported tuple is converted.  Cost: linear in total valuations; a tuple
-    with more than `valuation_cap` valuations raises ValuationBudgetExceeded."""
+    disjunctive tuples can break the per-tuple two, and only a reported tuple
+    is converted.  Cost: linear in total valuations; a tuple with more than
+    `valuation_cap` valuations raises ValuationBudgetExceeded."""
     _require_within(table, valuation_cap)
     tuples = sorted(table.tuples, key=lambda t: sorted(t.valuations()))
     x_pos, y_pos = _fd_positions(table.schema, fd)
     hit = _first_disagreement(tuples, lambda t: contributions(t, x_pos, y_pos, valuation_cap), "answer-sets-differ")
     if hit is not None:
         return Violation(hit.reason, tuple(map(to_disjunctive_tuple, hit.tuples)), hit.binding)
+    if table.model is not Model.DISJUNCTIVE:  # a vague tuple's rows are the product of its cells
+        return None
     z_pos = table.schema.positions(fd.rhs - fd.lhs)
     zw_pos = z_pos + tuple(p for p in range(len(table.schema)) if p not in x_pos and p not in z_pos)
     nz = len(z_pos)
@@ -513,6 +506,11 @@ MAX_RESEMBLANCE = "max"
 MIN_RESEMBLANCE = "min"
 
 
+def _known_variant(variant: str) -> None:
+    if variant not in (MAX_RESEMBLANCE, MIN_RESEMBLANCE):
+        raise ValueError(f"resemblance variant must be {MAX_RESEMBLANCE!r} or {MIN_RESEMBLANCE!r}, got {variant!r}")
+
+
 def _overlap(c1: tuple, c2: tuple, pos: tuple, variant: str) -> float:
     """Least resemblance of the cells of c1 and c2 at positions `pos` (1.0
     for none); 0.0 at the first disjoint pair of cells."""
@@ -529,6 +527,7 @@ def _overlap(c1: tuple, c2: tuple, pos: tuple, variant: str) -> float:
 def resemblance(a: Iterable[str], b: Iterable[str], variant: str = MAX_RESEMBLANCE) -> float:
     """Set-overlap score in [0,1]: 0 iff disjoint, 1 iff one side contains the
     other (for the max variant)."""
+    _known_variant(variant)
     a, b = frozenset(a), frozenset(b)
     if not a or not b:
         raise ValueError("resemblance needs non-empty sets")
@@ -537,6 +536,7 @@ def resemblance(a: Iterable[str], b: Iterable[str], variant: str = MAX_RESEMBLAN
 
 def tuple_resemblance(t1, t2, attrs: Iterable[str], variant: str = MAX_RESEMBLANCE) -> float:
     """Minimum per-attribute resemblance over `attrs` (1.0 for no attributes)."""
+    _known_variant(variant)
     pos = t1.schema.positions(attrs)
     if isinstance(t1, DisjunctiveTuple) or isinstance(t2, DisjunctiveTuple):
         raise ModelError("tuple resemblance is defined for vague tuples")
@@ -571,7 +571,9 @@ def find_rm_violation(
     selective lhs position, are scored, in canonical order, so the first
     violation is the one a scan of all pairs finds.  Cost: O(n + candidate
     pairs), O(|X|+|Y|) per pair; an empty lhs makes every pair a candidate.
-    More than `pair_cap` candidate pairs raise ValuationBudgetExceeded."""
+    More than `pair_cap` candidate pairs raise ValuationBudgetExceeded, and
+    a variant other than "max" or "min" raises ValueError."""
+    _known_variant(variant)
     if table.model is Model.DISJUNCTIVE:
         raise ModelError("rm satisfaction is defined over vague tables only")
     x_pos, y_pos = _fd_positions(table.schema, fd)

@@ -362,6 +362,20 @@ class TestCliWorldsClosureGen3dm:
         assert run_cli("closure", "--fds", str(fds), "--attrs", "A") == 0
         assert capsys.readouterr().out.strip() == "A,B,C"
 
+    @pytest.mark.parametrize("attrs, want", [(" A", "A,B,C"), ("A, B", "A,B,C"), ("C ,B", "B,C")])
+    def test_closure_names_are_stripped(self, attrs, want, capsys):
+        assert run_cli("closure", "--fds", str(DATA / "chain.fds"), "--attrs", attrs) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+    @pytest.mark.parametrize("attrs", ["", " ", "A,,B", "A,"])
+    def test_closure_empty_name_exits_two(self, attrs, capsys):
+        assert run_cli("closure", "--fds", str(DATA / "chain.fds"), "--attrs", attrs) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"fdlab closure: error: argument --attrs: attribute names must not be empty, got {attrs!r}"
+        )
+
     def test_gen3dm_matches_golden_table(self, tmp_path):
         out_table = tmp_path / "t.vtab"
         out_fds = tmp_path / "t.fds"

@@ -244,6 +244,38 @@ def test_search_worlds_and_steps_are_pinned():
     assert budgets == PINNED_BUDGETS
 
 
+def _step_cases(rng, count):
+    """(index, table, FD set) for `count` seeded disjunctive tables of 20-40
+    distinct tuples with 1-3 disjuncts each, and random FD sets.  A table
+    with fewer distinct tuples is drawn again."""
+    for k in range(count):
+        table = rand_disjunctive_table(rng, max_attrs=5, max_tuples=40)
+        while len(table.tuples) < 20:
+            table = rand_disjunctive_table(rng, max_attrs=5, max_tuples=40)
+        yield k, table, rand_fd_set(rng, table.schema.attributes, max_fds=4)
+
+
+# Least budgets of `_step_cases(Random(23), 72)` by index, computed with the
+# search that kept a binding refcount map and a trail.  A case whose least
+# budget was the valuation floor (every row of the first branched tuple
+# dead-ends at once) is left out, since the floor hides its step count.
+PINNED_STEPS = {
+    0: 6, 1: 14, 2: 6, 8: 35, 13: 30, 17: 27, 18: 23, 19: 8, 21: 8, 22: 27, 23: 35, 25: 38, 26: 25, 28: 6,
+    29: 24, 30: 40, 32: 36, 33: 40, 34: 6, 35: 25, 36: 22, 37: 5, 38: 11, 39: 36, 40: 22, 43: 35, 44: 27,
+    45: 12, 46: 4, 47: 26, 48: 6, 50: 35, 51: 22, 54: 31, 56: 9, 59: 35, 61: 35, 66: 32, 67: 33, 68: 29,
+    69: 16, 70: 5,
+}
+
+
+def test_search_steps_are_pinned_above_the_valuation_floor():
+    pinned = {}
+    for k, table, fds in _step_cases(random.Random(23), 72):
+        if k in PINNED_STEPS:
+            assert PINNED_STEPS[k] > max(t.valuation_count() for t in table.tuples)
+            pinned[k] = _least_budget(table, fds)
+    assert pinned == PINNED_STEPS
+
+
 def _flood_cases(rng, count=300, max_tuples=8):
     """Vague tables with FD sets that hold under pfd: random FDs, an empty
     lhs (over a column planted equal in every tuple, so it always holds), a

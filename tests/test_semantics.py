@@ -266,6 +266,21 @@ class TestVertical:
         assert not check_vertical(r, T.AB)
         assert len(converted) == 2
 
+    def test_per_tuple_pass_runs_on_disjunctive_tables_only(self, monkeypatch):
+        # A vague tuple's rows under a binding are the product of its cells,
+        # so only the agreement pass calls `contributions`, once per tuple.
+        calls = []
+        real = semantics.contributions
+        monkeypatch.setattr(semantics, "contributions", lambda t, *a: calls.append(t) or real(t, *a))
+        table, fds = grouped_vague_table(random.Random(2), 200)
+        for f in fds:
+            calls.clear()
+            assert check_vertical(table, f)
+            assert len(calls) == len(table.tuples) and set(calls) == set(table.tuples)
+        calls.clear()
+        assert not check_vertical(T.SINGLE_VERTICAL, T.AB)
+        assert len(calls) == 2 * len(T.SINGLE_VERTICAL.tuples)
+
     def test_vertical_known_discrepancy_on_ssn_table(self):
         # Known discrepancy: evaluated literally, all three conditions hold
         # here (the per-tuple dependency is trivial because the fd spans the
@@ -289,6 +304,17 @@ class TestResemblance:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             resemblance(set(), {"a"})
+
+    def test_unknown_variant_rejected(self):
+        t = VagueTuple(Schema(("A",)), ({"a"},))
+        for variant in ("MAX", "mean", ""):
+            with pytest.raises(ValueError, match="variant"):
+                resemblance({"a", "b"}, {"a"}, variant)
+            with pytest.raises(ValueError, match="variant"):
+                tuple_resemblance(t, t, {"A"}, variant)
+            with pytest.raises(ValueError, match="variant"):
+                check_rm(T.RESEMBLANCE_TRAP, T.AB, variant)
+        assert resemblance({"a", "b"}, {"a"}, "min") == 0.5
 
     def test_tuple_form_is_minimum(self):
         t1 = VagueTuple(Schema(("A", "B")), ({"a"}, {"b", "b2"}))
