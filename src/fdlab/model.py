@@ -47,6 +47,8 @@ class Schema:
                 raise SchemaError(f"attribute name {a!r} must be a non-empty trimmed string")
             if not _RESERVED.isdisjoint(a):
                 raise SchemaError(f"attribute name {a!r}: characters ,|{{}}() are reserved")
+            if a[0] == "#":
+                raise SchemaError(f"attribute name {a!r} must not begin with '#', which starts a comment line")
         if len(set(attrs)) != len(attrs):
             raise SchemaError(f"duplicate attribute names in {attrs}")
         object.__setattr__(self, "attributes", attrs)
@@ -77,7 +79,8 @@ _RESERVED = frozenset(",|{}()\n")
 
 
 def check_value(v: str) -> str:
-    """Values must be plain non-empty strings free of structural characters.
+    """Values must be plain non-empty strings free of structural characters,
+    not beginning with `#` (a table file line that does is a comment).
 
     Returned interned, since the same value typically recurs across many
     cells, bindings, and map keys.
@@ -86,6 +89,8 @@ def check_value(v: str) -> str:
         raise SchemaError(f"bad value {v!r}: must be a non-empty trimmed string")
     if not _RESERVED.isdisjoint(v):
         raise SchemaError(f"bad value {v!r}: characters ,|{{}}() are reserved")
+    if v[0] == "#":
+        raise SchemaError(f"bad value {v!r}: must not begin with '#', which starts a comment line")
     return sys.intern(v)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Union
 
-from .errors import ModelError, ValuationBudgetExceeded
+from .errors import ModelError, SchemaError, ValuationBudgetExceeded
 from .model import (
     DEFAULT_VALUATION_CAP,
     DisjunctiveTuple,
@@ -86,26 +86,30 @@ def _cells(t) -> tuple:
     return t.cells if isinstance(t, VagueTuple) else tuple(frozenset((v,)) for v in t.values)
 
 
-def answer_set(t, x_attrs: Iterable[str], binding: tuple, y_attrs: Iterable[str]) -> frozenset:
-    """t[X=binding][Y]: selected valuations of t, projected on Y.
-
-    For vague tuples only the X-union-Y restriction of the valuation product is
-    ever materialized.
-    """
-    x_pos = t.schema.positions(x_attrs)
-    y_pos = t.schema.positions(y_attrs)
+def _rows_under(t, x_pos: tuple, binding: tuple, y_pos: tuple):
+    """The valuation rows of `t` with X = binding, in value order (X and Y as
+    schema positions): a disjunctive tuple's sorted disjuncts that carry the
+    binding; for a standard or vague tuple, the product of the bound value at
+    X, the sorted cell at Y and the least value everywhere else.  Empty when
+    a bound value is not in its cell."""
     if isinstance(t, DisjunctiveTuple):
-        return frozenset(
-            tuple(row[i] for i in y_pos)
-            for row in t.disjuncts
-            if tuple(row[i] for i in x_pos) == binding
-        )
+        return [row for row in sorted(t.disjuncts) if tuple(row[i] for i in x_pos) == binding]
     cells = _cells(t)
     bound = dict(zip(x_pos, binding))
-    if any(bound[i] not in cells[i] for i in x_pos):
-        return frozenset()
-    factors = [(bound[i],) if i in bound else sorted(cells[i]) for i in y_pos]
-    return frozenset(itertools.product(*factors))
+    if any(v not in cells[p] for p, v in bound.items()):
+        return ()
+    return itertools.product(*(
+        (bound[p],) if p in bound else sorted(c) if p in y_pos else (min(c),) for p, c in enumerate(cells)
+    ))
+
+
+def answer_set(t, x_attrs: Iterable[str], binding: tuple, y_attrs: Iterable[str]) -> frozenset:
+    """t[X=binding][Y]: selected valuations of t, projected on Y; the Y
+    projection of `_rows_under`, so a vague tuple's cells outside X and Y
+    contribute one value each."""
+    x_pos = t.schema.positions(x_attrs)
+    y_pos = t.schema.positions(y_attrs)
+    return frozenset(tuple(row[i] for i in y_pos) for row in _rows_under(t, x_pos, binding, y_pos))
 
 
 @dataclass(frozen=True)
@@ -120,11 +124,15 @@ class SelectionResult:
 
 
 def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[str]] = None) -> SelectionResult:
-    """t[X=binding], projected on `onto` (defaults to the full schema)."""
+    """t[X=binding], projected on `onto` (defaults to the full schema).  The
+    binding gives one value per attribute of X, in schema order; any other
+    length raises SchemaError."""
     onto_attrs = tuple(t.schema.attributes if onto is None else t.schema.restrict(onto).attributes)
     x_norm = tuple(t.schema.restrict(x_attrs).attributes)
-    answers = answer_set(t, x_norm, tuple(binding), onto_attrs)
-    return SelectionResult(t, x_norm, tuple(binding), onto_attrs, answers)
+    binding = tuple(binding)
+    if len(binding) != len(x_norm):
+        raise SchemaError(f"binding {binding} has {len(binding)} values for the {len(x_norm)} attributes {x_norm}")
+    return SelectionResult(t, x_norm, binding, onto_attrs, answer_set(t, x_norm, binding, onto_attrs))
 
 
 def contributions(t, x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP) -> list:
@@ -226,27 +234,14 @@ def _require_within(table: Table, cap: int) -> None:
             raise ValuationBudgetExceeded(cap)
 
 
-def _least_valuation(t, x_pos: tuple, binding: tuple, y_pos: tuple, avoid: Optional[tuple] = None):
-    """The least valuation row of `t` with X = binding whose Y projection is
-    not `avoid`, or None.  A vague tuple's cells outside X and Y take their
-    least value, so at most two rows of its Y product are visited."""
-    if isinstance(t, DisjunctiveTuple):
-        rows = sorted(t.disjuncts)
-    else:
-        bound = dict(zip(x_pos, binding))
-        rows = itertools.product(*(
-            (bound[p],) if p in bound else sorted(c) if p in y_pos else (min(c),) for p, c in enumerate(_cells(t))
-        ))
-    return next((row for row in rows if tuple(row[i] for i in x_pos) == binding
-                 and tuple(row[i] for i in y_pos) != avoid), None)
-
-
 def find_strong_violation(
     table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP
 ) -> Optional[Violation]:
     """Least (t1, t2, binding) such that some world gives the two tuples
     different rhs rows under the binding, witnessed by the least such pair of
-    valuations.
+    valuations: t1's least row under the binding, then t2's least row with
+    another rhs row, or, when t2 has none, t2's least row and then t1's least
+    with another.  Both rows are read from `_rows_under`.
 
     Valuations are independent per tuple, so a world violates the FD iff two
     distinct tuples share an lhs binding and their answer sets are not one and
@@ -264,11 +259,16 @@ def find_strong_violation(
     if hit is None:
         return None
     (t1, t2), b = hit.tuples, hit.binding
-    u1 = _least_valuation(t1, x_pos, b, y_pos)
-    u2 = _least_valuation(t2, x_pos, b, y_pos, avoid=tuple(u1[i] for i in y_pos))
+
+    def least(t, avoid=None):
+        """The first row of `t` under b whose Y projection is not `avoid`."""
+        return next((row for row in _rows_under(t, x_pos, b, y_pos) if tuple(row[i] for i in y_pos) != avoid), None)
+
+    u1 = least(t1)
+    u2 = least(t2, tuple(u1[i] for i in y_pos))
     if u2 is None:  # t2's only rhs row under b is u1's
-        u2 = _least_valuation(t2, x_pos, b, y_pos)
-        u1 = _least_valuation(t1, x_pos, b, y_pos, avoid=tuple(u2[i] for i in y_pos))
+        u2 = least(t2)
+        u1 = least(t1, tuple(u2[i] for i in y_pos))
     return Violation(hit.reason, (StandardTuple(table.schema, u1), StandardTuple(table.schema, u2)), b)
 
 
@@ -610,19 +610,18 @@ def check_rm(
 
 @dataclass(frozen=True)
 class FdVerdict:
-    """`fd` is None for set-level (seamless) verdicts; `fds` then lists the set."""
+    """The verdict on `fds`: the whole set for seamless, one FD for every
+    per-FD semantics.  Carries a violation or, for seamless and weak, the
+    witness world if any."""
 
-    fd: Optional[FunctionalDependency]
+    fds: tuple
     semantics: Semantics
     holds: bool
     violation: Optional[Violation] = None
     witness: Optional[Table] = None
-    fds: tuple = ()
 
     def label(self) -> str:
-        if self.fd is not None:
-            return str(self.fd)
-        return "; ".join(str(f) for f in self.fds)
+        return "; ".join(map(str, self.fds))
 
 
 @dataclass
@@ -688,29 +687,20 @@ def check(
     semantics: Semantics,
     valuation_cap: int = DEFAULT_VALUATION_CAP,
 ) -> CheckReport:
-    """Uniform entry point; seamless treats `fds` as one set, the rest check
-    each FD on its own."""
+    """Uniform entry point: one verdict per group of FDs, where seamless
+    takes `fds` as one group and every other semantics takes each FD as its
+    own.  Weak and seamless search for a witness world; the rest look for a
+    violation with their `_FINDERS` entry."""
     semantics = Semantics(semantics)
-    if isinstance(fds, FunctionalDependency):
-        fds = [fds]
-    fds = list(fds)
+    fds = (fds,) if isinstance(fds, FunctionalDependency) else tuple(fds)
     start = time.perf_counter()
     report = CheckReport(table.model, semantics)
-
-    if semantics is Semantics.SEAMLESS:
-        witness = check_seamless(table, fds, budget=valuation_cap)
-        report.verdicts.append(
-            FdVerdict(None, semantics, witness is not None, witness=witness, fds=tuple(fds))
-        )
-    elif semantics is Semantics.WEAK:
-        for fd in fds:
-            witness = check_seamless(table, [fd], budget=valuation_cap)
-            report.verdicts.append(FdVerdict(fd, semantics, witness is not None, witness=witness))
-    else:
-        finder = _FINDERS[semantics]
-        for fd in fds:
-            v = finder(table, fd, valuation_cap)
-            report.verdicts.append(FdVerdict(fd, semantics, v is None, violation=v))
-
+    for group in [fds] if semantics is Semantics.SEAMLESS else [(fd,) for fd in fds]:
+        if semantics in (Semantics.WEAK, Semantics.SEAMLESS):
+            witness = check_seamless(table, group, budget=valuation_cap)
+            report.verdicts.append(FdVerdict(group, semantics, witness is not None, witness=witness))
+        else:
+            v = _FINDERS[semantics](table, *group, valuation_cap)
+            report.verdicts.append(FdVerdict(group, semantics, v is None, violation=v))
     report.elapsed_s = time.perf_counter() - start
     return report

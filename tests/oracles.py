@@ -201,6 +201,40 @@ def find_strong_violation(table, fd, valuation_cap=DEFAULT_VALUATION_CAP):
     return None
 
 
+def find_least_strong_violation(table, fd):
+    """The least (t1, t2, binding), t1 before t2, under which some world gives
+    the two tuples different Y rows: both hold the binding, and their answer
+    sets are not one and the same single row.  The witness is the least such
+    pair of valuations, read from all valuations: t1's least row under the
+    binding, then t2's least with another Y; when t2 has none, t2's least row
+    and then t1's least with another Y."""
+    x_attrs = tuple(table.schema.restrict(fd.lhs).attributes)
+    y_attrs = tuple(table.schema.restrict(fd.rhs).attributes)
+    x_pos, y_pos = table.schema.positions(fd.lhs), table.schema.positions(fd.rhs)
+
+    def on(row, pos):
+        return tuple(row[p] for p in pos)
+
+    def least(t, b, avoid=None):
+        return min((row for row in t.valuations() if on(row, x_pos) == b and on(row, y_pos) != avoid), default=None)
+
+    binds = [bindings(t, x_attrs) for t in table.tuples]
+    for i, t1 in enumerate(table.tuples):
+        for j in range(i + 1, len(table.tuples)):
+            t2 = table.tuples[j]
+            for b in sorted(binds[i] & binds[j]):
+                a1 = answer_set(t1, x_attrs, b, y_attrs)
+                if len(a1) == 1 and a1 == answer_set(t2, x_attrs, b, y_attrs):
+                    continue
+                u1 = least(t1, b)
+                u2 = least(t2, b, on(u1, y_pos))
+                if u2 is None:
+                    u2 = least(t2, b)
+                    u1 = least(t1, b, on(u2, y_pos))
+                return Violation("world-pair-disagrees", (StandardTuple(table.schema, u1), StandardTuple(table.schema, u2)), b)
+    return None
+
+
 def check_weak(table, fd, valuation_cap=DEFAULT_VALUATION_CAP) -> bool:
     """True iff some possible world satisfies the FD standardly."""
     x_pos, y_pos = table.schema.positions(fd.lhs), table.schema.positions(fd.rhs)

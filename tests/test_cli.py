@@ -264,6 +264,9 @@ class TestCliCheck:
         ("A,A\n", "line 1: duplicate attribute names in ('A', 'A')"),
         ("#model: vague\nA,B\n(a,b)\n", "line 3: disjunctive row in a vague table"),
         ("A,B\na(b,c\n", "line 2: bad value 'a(b': characters ,|{}() are reserved"),
+        ("A,B\n{#a|b},c\n", "line 2: bad value '#a': must not begin with '#', which starts a comment line"),
+        ("A,B\nb,#c\n", "line 2: bad value '#c': must not begin with '#', which starts a comment line"),
+        ("A,#B\na,b\n", "line 1: attribute name '#B' must not begin with '#', which starts a comment line"),
     ])
     def test_parse_errors_name_their_line(self, text, message, tmp_path, capsys):
         table = tmp_path / "bad.tab"
@@ -308,6 +311,17 @@ class TestCliValuate:
         fds.write_text("A -> B\n")
         assert run_cli("valuate", "--table", str(src), "--fds", str(fds)) == 1
         assert "A -> B" in capsys.readouterr().err
+
+    def test_value_that_would_print_as_a_comment_exits_two(self, tmp_path, capsys):
+        # Picking '#a' would print the row '#a,c', which reads back as a comment.
+        src = tmp_path / "t.vtab"
+        src.write_text("A,B\n{#a|b},c\n")
+        fds = tmp_path / "t.fds"
+        fds.write_text("A -> B\n")
+        assert run_cli("valuate", "--table", str(src), "--fds", str(fds), "--seed", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fdlab: line 2: bad value '#a': must not begin with '#', which starts a comment line\n"
 
     def test_wrong_model_exits_two(self):
         assert run_cli(

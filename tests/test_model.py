@@ -39,6 +39,26 @@ class TestSchema:
         with pytest.raises(SchemaError):
             Schema(("A", ""))
 
+    @pytest.mark.parametrize("name", ["#A", "#", "#model:"])
+    def test_name_beginning_with_hash_rejected(self, name):
+        # A header line that begins with '#' reads back as a comment.
+        with pytest.raises(SchemaError, match="must not begin with '#'"):
+            Schema((name, "B"))
+
+    @pytest.mark.parametrize("make", [
+        lambda s: StandardTuple(s, ("#a", "b")),
+        lambda s: VagueTuple(s, ({"#a", "a"}, "b")),
+        lambda s: DisjunctiveTuple(s, [("a", "b"), ("a", "#b")]),
+    ], ids=["standard", "vague", "disjunctive"])
+    def test_value_beginning_with_hash_rejected(self, make):
+        # A row whose first value begins with '#' reads back as a comment.
+        with pytest.raises(SchemaError, match="must not begin with '#'"):
+            make(Schema(("A", "B")))
+
+    def test_hash_inside_a_name_or_value_is_kept(self):
+        t = StandardTuple(Schema(("A#", "B")), ("a#1", "b"))
+        assert t.schema.attributes == ("A#", "B") and t.values == ("a#1", "b")
+
     def test_positions_preserve_schema_order(self):
         s = Schema(("A", "B", "C"))
         assert s.positions({"C", "A"}) == (0, 2)

@@ -5,6 +5,7 @@ counts pinned from the full-scan search), the component valuation
 flood returns the worklist flood's rows, and the linear closure gives the
 pass loop's closures and the restart-from-the-top derivations."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -13,11 +14,10 @@ import pytest
 from fdlab import (
     FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, attribute_closure,
     check_pfd, check_seamless, check_weak, derive, generate_3dm_reduction, implies, parse_fds, parse_table,
-    seamless_valuation_rows,
+    seamless_valuation_rows, select,
 )
 from fdlab.semantics import (
     _fd_positions,
-    answer_set,
     contributions,
     find_strong_violation,
     find_pfd_violation,
@@ -28,7 +28,7 @@ from fdlab.semantics import (
 
 import oracles as O
 from gen import (
-    rand_3dm_instance, rand_disjunctive_table, rand_fd, rand_fd_set, rand_standard_table, rand_vague_table,
+    VALUES, rand_3dm_instance, rand_disjunctive_table, rand_fd, rand_fd_set, rand_standard_table, rand_vague_table,
 )
 
 GENERATORS = (rand_standard_table, rand_vague_table, rand_disjunctive_table)
@@ -151,6 +151,21 @@ def test_strong_and_weak_return_the_world_oracles_verdicts():
         assert tuple(u1[i] for i in x_pos) == v.binding == tuple(u2[i] for i in x_pos)
         assert tuple(u1[i] for i in y_pos) != tuple(u2[i] for i in y_pos)
     assert violated > 100 and weak_fails > 20
+
+
+def test_strong_witness_is_the_least_pair_of_valuations():
+    violated = free = 0
+    for table, f in random_cases(13, max_tuples=5):
+        want = O.find_least_strong_violation(table, f)
+        assert find_strong_violation(table, f) == want
+        violated += want is not None
+        # Count witnesses over vague tables with a choice outside X and Y,
+        # where the least pair must take each such cell's least value.
+        rest = table.schema.positions(set(table.schema.attributes) - f.lhs - f.rhs)
+        free += want is not None and table.model.value == "vague" and any(
+            len(t.cells[p]) > 1 for t in table.tuples for p in rest
+        )
+    assert violated > 100 and free > 20
 
 
 def test_seamless_returns_the_plain_searchs_world():
@@ -332,8 +347,23 @@ def test_contributions_follow_the_definition():
         y_attrs = tuple(table.schema.restrict(f.rhs).attributes)
         x_pos, y_pos = _fd_positions(table.schema, f)
         for t in table.tuples:
-            want = [(b, answer_set(t, x_attrs, b, y_attrs)) for b in sorted(O.bindings(t, x_attrs))]
+            want = [(b, O.answer_set(t, x_attrs, b, y_attrs)) for b in sorted(O.bindings(t, x_attrs))]
             assert contributions(t, x_pos, y_pos) == want
+
+
+def test_select_follows_the_definition():
+    # Every binding over the generator's values, so also those a tuple does not hold.
+    empty = 0
+    for table, f in random_cases(17, count=300):
+        x_attrs = tuple(table.schema.restrict(f.lhs).attributes)
+        for onto in (f.rhs, None):
+            y_attrs = tuple(table.schema.attributes if onto is None else table.schema.restrict(onto).attributes)
+            for t in table.tuples:
+                for b in itertools.product(VALUES, repeat=len(x_attrs)):
+                    want = O.answer_set(t, x_attrs, b, y_attrs)
+                    assert select(t, f.lhs, b, onto).answers == want
+                    empty += not want
+    assert empty > 1000
 
 
 def test_lhs_binding_product_over_the_cap_raises():

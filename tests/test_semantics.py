@@ -11,7 +11,9 @@ from fdlab import (
     FunctionalDependency,
     ModelError,
     Schema,
+    SchemaError,
     Semantics,
+    StandardTuple,
     Table,
     ValuationBudgetExceeded,
     VagueTuple,
@@ -57,6 +59,18 @@ class TestSelect:
         t = DisjunctiveTuple(Schema(("A", "B")), [("a", "b"), ("a2", "b2")])
         r = select(t, {"A"}, ("a",))
         assert all(row[0] == "a" for row in r.answers)
+
+    @pytest.mark.parametrize("t", [
+        StandardTuple(Schema(("A", "B")), ("a", "b")),
+        VagueTuple(Schema(("A", "B")), ("a", {"b", "c"})),
+        DisjunctiveTuple(Schema(("A", "B")), [("a", "b"), ("a", "c")]),
+    ], ids=["standard", "vague", "disjunctive"])
+    @pytest.mark.parametrize("x_attrs, binding", [
+        ({"A"}, ()), ({"A"}, ("a", "zzz")), ({"A", "B"}, ("a",)), (set(), ("a",)),
+    ], ids=["short", "long", "short-of-two", "long-for-none"])
+    def test_binding_of_the_wrong_arity_rejected(self, t, x_attrs, binding):
+        with pytest.raises(SchemaError, match="binding"):
+            select(t, x_attrs, binding)
 
 
 class TestStandard:
