@@ -21,14 +21,10 @@ from .model import (
     VagueTuple,
     World,
     enumerate_worlds,
-    equal_tuples,
     project_table,
     project_tuple,
     to_disjunctive,
     to_disjunctive_tuple,
-    try_to_vague,
-    tuple_intersection,
-    tuple_union,
 )
 from .semantics import (
     CheckReport,

@@ -100,26 +100,26 @@ def derive(fds: Iterable[FunctionalDependency], fd: FunctionalDependency) -> Opt
     if not fd.rhs <= closure:
         return None
     # Keep the firings up to the first set S_k that covers the target rhs.
-    used = []
+    used = []  # (f, S_i, S_{i+1})
     final_set = frozenset(fd.lhs)
     for f in fired:
         if fd.rhs <= final_set:
             break
-        used.append((f, final_set))
-        final_set |= f.rhs
+        grown = final_set | f.rhs
+        used.append((f, final_set, grown))
+        final_set = grown
 
     if not used:
         return Derivation(fd, (DerivationStep(REFLEXIVITY, fd),))
 
-    steps = [DerivationStep(GIVEN, f) for f, _ in used]
+    steps = [DerivationStep(GIVEN, f) for f, _, _ in used]
     reflex_index = len(steps)
     steps.append(DerivationStep(REFLEXIVITY, FunctionalDependency(final_set, fd.rhs)))
 
     # Augmentations: (S_i -> S_{i+1}) from used FD i (step i), padding by S_i.
     aug_indices = range(len(steps), len(steps) + len(used))
-    for given, (f, before) in enumerate(used):
-        grown = FunctionalDependency(before, before | f.rhs)
-        steps.append(DerivationStep(AUGMENTATION, grown, (given,), before))
+    for given, (f, before, after) in enumerate(used):
+        steps.append(DerivationStep(AUGMENTATION, FunctionalDependency(before, after), (given,), before))
 
     # Transitivity chain: X -> S_1 -> ... -> S_k, then S_k -> rhs.
     chain = aug_indices[0]

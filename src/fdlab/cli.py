@@ -14,6 +14,7 @@ applies.  A cap below 1 is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -130,7 +131,9 @@ def cmd_gen3dm(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fdlab",
         description="Functional dependencies over vague and disjunctive tables.",

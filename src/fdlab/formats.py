@@ -12,31 +12,36 @@ table disjunctive, else any braced cell makes it vague, else it is standard.
 File extensions `.stab`, `.vtab`, `.dtab` carry the same three meanings for
 CLI users.
 
-FD files: one `A B -> C D` per line, `#` starts a comment.
+FD files: one `A B -> C D` per line; a `#` that begins a word (at the start
+of a line or after whitespace) starts a comment, so `B#` is a name.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional
 
 from .errors import ParseError
 from .model import (
     DisjunctiveTuple,
+    Memo,
     Model,
     Schema,
     StandardTuple,
     Table,
     VagueTuple,
+    check_value,
 )
 from .semantics import FunctionalDependency
 
 MODEL_DIRECTIVE = "#model:"
+_COMMENT = re.compile(r"(?:^|\s)#.*")  # no name may begin with '#'
 EXTENSION_MODELS = {".stab": Model.STANDARD, ".vtab": Model.VAGUE, ".dtab": Model.DISJUNCTIVE}
 
 
 def _split_row(line: str, no: int) -> list:
     parts = [p.strip() for p in line.split(",")]
-    if any(not p for p in parts):
+    if "" in parts:
         raise ParseError("empty field in row", no)
     return parts
 
@@ -46,7 +51,7 @@ def _parse_cell(text: str, no: int) -> frozenset:
         if not text.endswith("}"):
             raise ParseError(f"unterminated cell {text!r}", no)
         values = [v.strip() for v in text[1:-1].split("|")]
-        if not values or any(not v for v in values):
+        if "" in values:
             raise ParseError(f"empty value in cell {text!r}", no)
         return frozenset(values)
     if "}" in text or "|" in text:
@@ -78,7 +83,13 @@ def _detect_model(body: list) -> Model:
 
 
 def parse_table(text: str, model: Optional[Model] = None) -> Table:
-    """Parse table text; explicit `model` wins over directive and inference."""
+    """Parse table text; explicit `model` wins over directive and inference.
+
+    Cost: linear in the text.  Each distinct field text is split and checked
+    once per call: a memo kept for this call maps it to its checked cell or
+    value, and the tuples are built from that checked input without a second
+    check.  The canonical sort is O(n log n) in the n rows.
+    """
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
     lines = [(no, ln) for no, ln in lines if ln]
 
@@ -104,27 +115,39 @@ def parse_table(text: str, model: Optional[Model] = None) -> Table:
 
     body = lines[1:]
     table_model = model or directive or _detect_model(body)
+    arity = len(schema)
 
+    values = Memo(check_value)  # field text -> checked value
+    cells = {}  # vague field text -> checked cell
     tuples = []
     for no, line in body:
         try:
             if line.startswith("("):
                 if table_model is not Model.DISJUNCTIVE:
                     raise ParseError(f"disjunctive row in a {table_model.value} table", no)
-                tuples.append(DisjunctiveTuple(schema, _parse_disjunctive_row(line, no, len(schema))))
+                rows = _parse_disjunctive_row(line, no, arity)
+                disjuncts = frozenset(tuple(map(values.__getitem__, row)) for row in rows)
+                tuples.append(DisjunctiveTuple(schema, disjuncts, checked=True))
                 continue
             fields = _split_row(line, no)
-            if len(fields) != len(schema):
-                raise ParseError(f"row has {len(fields)} fields, expected {len(schema)}", no)
-            if table_model is Model.DISJUNCTIVE:
-                tuples.append(DisjunctiveTuple(schema, (tuple(fields),)))
-            elif table_model is Model.VAGUE:
-                tuples.append(VagueTuple(schema, tuple(_parse_cell(f, no) for f in fields)))
-            else:
+            if len(fields) != arity:
+                raise ParseError(f"row has {len(fields)} fields, expected {arity}", no)
+            if table_model is Model.VAGUE:
+                new = [f for f in fields if f not in cells]
+                # The syntax of every cell in the row comes before any value check.
+                for f, cell in zip(new, [_parse_cell(f, no) for f in new]):
+                    cells[f] = frozenset(map(check_value, cell))
+                tuples.append(VagueTuple(schema, tuple(map(cells.__getitem__, fields)), checked=True))
+                continue
+            if table_model is Model.STANDARD:
                 for f in fields:
-                    if "{" in f or "}" in f or "|" in f:
+                    if f not in values and ("{" in f or "}" in f or "|" in f):
                         raise ParseError(f"set-valued cell {f!r} in a standard table", no)
-                tuples.append(StandardTuple(schema, tuple(fields)))
+            row = tuple(map(values.__getitem__, fields))
+            if table_model is Model.DISJUNCTIVE:
+                tuples.append(DisjunctiveTuple(schema, frozenset((row,)), checked=True))
+            else:
+                tuples.append(StandardTuple(schema, row, checked=True))
         except ParseError:
             raise
         except Exception as exc:
@@ -143,7 +166,7 @@ def parse_fds(text: str) -> list:
     """One `A B -> C D` per line; attribute names are resolved at check time."""
     fds = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if line.count("->") != 1:

@@ -6,6 +6,11 @@ valuation (one value per cell, or one disjunct per tuple) yields a standard
 row; a valuation of a whole table yields a standard table with duplicates
 removed, called a possible world.
 
+The tuple constructors check and intern every value.  With `checked=True`
+they trust their input instead: it must already be in the stored form (a
+tuple of values, a tuple of frozenset cells, a frozenset of rows) built from
+`check_value` results, with the schema's arity; nothing is re-checked.
+
 All types here are immutable and hashable.  Values are plain strings with a
 total order (lexicographic), used only to make iteration and serialization
 deterministic.
@@ -94,6 +99,18 @@ def check_value(v: str) -> str:
     return sys.intern(v)
 
 
+class Memo(dict):
+    """key -> fn(key), computed once per distinct key."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
 def _as_cell(value) -> frozenset:
     if isinstance(value, str):
         return frozenset((check_value(value),))
@@ -115,12 +132,13 @@ class StandardTuple:
     schema: Schema
     values: tuple
 
-    def __init__(self, schema: Schema, values: Sequence[str]):
-        vals = tuple(check_value(v) for v in values)
-        if len(vals) != len(schema):
-            raise SchemaError(f"arity {len(vals)} does not match schema {schema.attributes}")
+    def __init__(self, schema: Schema, values: Sequence[str], *, checked: bool = False):
+        if not checked:
+            values = tuple(check_value(v) for v in values)
+            if len(values) != len(schema):
+                raise SchemaError(f"arity {len(values)} does not match schema {schema.attributes}")
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", values)
 
     @property
     def model(self) -> Model:
@@ -146,15 +164,16 @@ class VagueTuple:
     schema: Schema
     cells: tuple
 
-    def __init__(self, schema: Schema, cells: Sequence):
-        norm = tuple(_as_cell(c) for c in cells)
-        if len(norm) != len(schema):
-            raise SchemaError(f"arity {len(norm)} does not match schema {schema.attributes}")
-        for attr, cell in zip(schema, norm):
-            if not cell:
-                raise SchemaError(f"empty cell for attribute {attr}")
+    def __init__(self, schema: Schema, cells: Sequence, *, checked: bool = False):
+        if not checked:
+            cells = tuple(_as_cell(c) for c in cells)
+            if len(cells) != len(schema):
+                raise SchemaError(f"arity {len(cells)} does not match schema {schema.attributes}")
+            for attr, cell in zip(schema, cells):
+                if not cell:
+                    raise SchemaError(f"empty cell for attribute {attr}")
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "cells", norm)
+        object.__setattr__(self, "cells", cells)
 
     @property
     def model(self) -> Model:
@@ -167,9 +186,6 @@ class VagueTuple:
     def valuation_count(self) -> int:
         return math.prod(map(len, self.cells))
 
-    def sort_key(self):
-        return tuple(tuple(sorted(c)) for c in self.cells)
-
     def render(self) -> str:
         return ",".join(render_cell(c) for c in self.cells)
 
@@ -181,15 +197,16 @@ class DisjunctiveTuple:
     schema: Schema
     disjuncts: frozenset
 
-    def __init__(self, schema: Schema, disjuncts: Iterable[Sequence[str]]):
-        rows = frozenset(tuple(check_value(v) for v in row) for row in disjuncts)
-        if not rows:
-            raise SchemaError("disjunctive tuple needs at least one disjunct")
-        for row in rows:
-            if len(row) != len(schema):
-                raise SchemaError(f"disjunct arity {len(row)} does not match schema {schema.attributes}")
+    def __init__(self, schema: Schema, disjuncts: Iterable[Sequence[str]], *, checked: bool = False):
+        if not checked:
+            disjuncts = frozenset(tuple(check_value(v) for v in row) for row in disjuncts)
+            if not disjuncts:
+                raise SchemaError("disjunctive tuple needs at least one disjunct")
+            for row in disjuncts:
+                if len(row) != len(schema):
+                    raise SchemaError(f"disjunct arity {len(row)} does not match schema {schema.attributes}")
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "disjuncts", rows)
+        object.__setattr__(self, "disjuncts", disjuncts)
 
     @property
     def model(self) -> Model:
@@ -236,7 +253,12 @@ class Table:
                 raise SchemaError(f"tuple schema {t.schema.attributes} differs from table schema {schema.attributes}")
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "tuples", tuple(sorted(unique, key=lambda t: t.sort_key())))
+        if model is Model.VAGUE:  # each distinct cell is sorted once, not per occurrence
+            sorted_cells = Memo(lambda cell: tuple(sorted(cell)))
+            key = lambda t: tuple(map(sorted_cells.__getitem__, t.cells))
+        else:
+            key = lambda t: t.sort_key()
+        object.__setattr__(self, "tuples", tuple(sorted(unique, key=key)))
 
     @classmethod
     def standard(cls, attrs: Iterable[str], rows: Iterable[Sequence[str]]) -> "Table":
@@ -266,24 +288,6 @@ class Table:
 World = Table  # a possible world is a standard table
 
 
-def _require_same(t1: AnyTuple, t2: AnyTuple) -> None:
-    if type(t1) is not type(t2):
-        raise ModelError(f"mixed tuple models: {type(t1).__name__} vs {type(t2).__name__}")
-    if t1.schema != t2.schema:
-        raise SchemaError("tuples have different schemas")
-
-
-def equal_tuples(t1: AnyTuple, t2: AnyTuple) -> bool:
-    """Model-aware equality: same possible valuations.
-
-    Vague tuples compare cell-by-cell (sound for that model); disjunctive
-    tuples compare whole disjunct sets, since attribute-wise agreement is not
-    sufficient for them.
-    """
-    _require_same(t1, t2)
-    return t1 == t2
-
-
 def project_tuple(t: AnyTuple, attrs: Iterable[str]) -> AnyTuple:
     """t[X]; preserves the tuple model."""
     pos = t.schema.positions(attrs)
@@ -299,34 +303,6 @@ def project_table(table: Table, attrs: Iterable[str]) -> Table:
     """pi_X(R): project every tuple; duplicates collapse."""
     sub = table.schema.restrict(attrs)
     return Table(sub, table.model, (project_tuple(t, attrs) for t in table.tuples))
-
-
-def tuple_union(t1: AnyTuple, t2: AnyTuple) -> AnyTuple:
-    """Tuple covering the union of both valuations (cell-wise / disjunct-set)."""
-    _require_same(t1, t2)
-    if isinstance(t1, StandardTuple):
-        if t1 == t2:
-            return t1
-        raise ModelError("union of distinct standard tuples is not a standard tuple")
-    if isinstance(t1, VagueTuple):
-        return VagueTuple(t1.schema, tuple(a | b for a, b in zip(t1.cells, t2.cells)))
-    return DisjunctiveTuple(t1.schema, t1.disjuncts | t2.disjuncts)
-
-
-def tuple_intersection(t1: AnyTuple, t2: AnyTuple) -> Optional[AnyTuple]:
-    """Tuple covering the common valuations, or None when there are none."""
-    _require_same(t1, t2)
-    if isinstance(t1, StandardTuple):
-        return t1 if t1 == t2 else None
-    if isinstance(t1, VagueTuple):
-        cells = tuple(a & b for a, b in zip(t1.cells, t2.cells))
-        if any(not c for c in cells):
-            return None
-        return VagueTuple(t1.schema, cells)
-    common = t1.disjuncts & t2.disjuncts
-    if not common:
-        return None
-    return DisjunctiveTuple(t1.schema, common)
 
 
 def enumerate_worlds(table: Table, limit: Optional[int] = None, cap: int = DEFAULT_VALUATION_CAP) -> list:
@@ -357,16 +333,3 @@ def to_disjunctive_tuple(t: AnyTuple) -> DisjunctiveTuple:
 def to_disjunctive(table: Table) -> Table:
     """Equivalent disjunctive table (same set of possible worlds)."""
     return Table(table.schema, Model.DISJUNCTIVE, (to_disjunctive_tuple(t) for t in table.tuples))
-
-
-def try_to_vague(t: DisjunctiveTuple) -> Optional[VagueTuple]:
-    """Inverse embedding: succeeds iff the disjuncts form a full cell product."""
-    if not isinstance(t, DisjunctiveTuple):
-        raise ModelError(f"expected a disjunctive tuple, got {type(t).__name__}")
-    cells = tuple(frozenset(row[i] for row in t.disjuncts) for i in range(len(t.schema)))
-    product_size = 1
-    for c in cells:
-        product_size *= len(c)
-    if product_size != len(t.disjuncts):
-        return None
-    return VagueTuple(t.schema, cells)

@@ -96,6 +96,15 @@ class TestFdFormat:
         fds = parse_fds("# header\nA -> B\nA B -> C B  # trailing\n")
         assert fds == [fd("A", "B"), fd("A B", "C B")]
 
+    @pytest.mark.parametrize("text, want", [
+        ("A -> B#\n", fd("A", "B#")),
+        ("A# -> B\n", fd("A#", "B")),
+        ("A# -> B#  # both names end in '#'\n", fd("A#", "B#")),
+        ("A -> B\t#tab\n", fd("A", "B")),
+    ])
+    def test_hash_is_a_comment_only_where_a_word_begins(self, text, want):
+        assert parse_fds(text) == [want]
+
     def test_named_attributes(self):
         assert parse_fds("employee -> superior\n") == [fd("employee", "superior")]
 
@@ -274,6 +283,29 @@ class TestCliCheck:
         assert run_cli("check", "--table", str(table), "--fds", str(DATA / "a_to_c.fds"), "--semantics", "pfd") == 2
         captured = capsys.readouterr()
         assert captured.err == f"fdlab: {message}\n" and captured.out == ""
+
+    def test_fd_names_with_a_later_hash_check_normally(self, tmp_path, capsys):
+        table = tmp_path / "hash.stab"
+        table.write_text("A,B#\na,b\na,c\n")
+        deps = tmp_path / "hash.fds"
+        deps.write_text("A -> B#  # violated\n")
+        assert run_cli("check", "--table", str(table), "--fds", str(deps), "--semantics", "standard") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and "A -> B#" in captured.out
+
+    def test_consecutive_calls_behave_like_fresh_ones(self, capsys):
+        # The parser is built once per process; no option may leak from one
+        # call into the next.
+        argv = ["check", "--table", str(DATA / "joejack.vtab"), "--fds", str(DATA / "joejack.fds"),
+                "--semantics", "pfd"]
+        outs = []
+        for extra in ([], ["--timing", "--format", "json"], [], ["--format", "json"], []):
+            assert run_cli(*argv, *extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[2] == outs[4] and "elapsed_ms" not in outs[0]
+        assert "elapsed_ms" in json.loads(outs[1]) and "elapsed_ms" not in json.loads(outs[3])
+        assert run_cli("closure", "--fds", str(DATA / "chain.fds"), "--attrs", "A") == 0
+        assert capsys.readouterr().out == "A,B,C\n"
 
     def test_cap_bounds_rm_pairs(self, tmp_path, capsys):
         deps = tmp_path / "empty.fds"

@@ -1,4 +1,4 @@
-"""Core model layer: projection, equality, union/intersection, worlds."""
+"""Core model layer: projection, equality, worlds."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,16 +12,11 @@ from fdlab import (
     ValuationBudgetExceeded,
     VagueTuple,
     WorldLimitExceeded,
-    ModelError,
     enumerate_worlds,
-    equal_tuples,
     project_table,
     project_tuple,
     to_disjunctive,
     to_disjunctive_tuple,
-    try_to_vague,
-    tuple_intersection,
-    tuple_union,
 )
 
 from tables import TRANSITIVITY_TRAP, NO_JOINT_WORLD
@@ -108,7 +103,7 @@ class TestEquality:
     def test_vague_cells_are_sets(self):
         t1 = VagueTuple(S2, ("a", {"b1", "b2"}))
         t2 = VagueTuple(S2, ("a", {"b2", "b1"}))
-        assert equal_tuples(t1, t2)
+        assert t1 == t2
 
     def test_disjunctive_attributewise_agreement_is_insufficient(self):
         # Both tuples take the same values attribute by attribute, yet their
@@ -117,31 +112,7 @@ class TestEquality:
         t2 = DisjunctiveTuple(S2, [("a2", "b"), ("a", "b2")])
         for attr in S2:
             assert project_tuple(t1, {attr}) == project_tuple(t2, {attr})
-        assert not equal_tuples(t1, t2)
-
-    def test_model_mismatch_rejected(self):
-        with pytest.raises(ModelError):
-            equal_tuples(StandardTuple(S2, ("a", "b")), VagueTuple(S2, ("a", "b")))
-
-
-class TestUnionIntersection:
-    def test_vague_union_and_intersection(self):
-        t1 = VagueTuple(S2, ("John", {"Bill", "Bob"}))
-        t2 = VagueTuple(S2, ({"John", "Julie"}, "Bill"))
-        assert tuple_union(t1, t2) == VagueTuple(S2, ({"John", "Julie"}, {"Bill", "Bob"}))
-        assert tuple_intersection(t1, t2) == VagueTuple(S2, ("John", "Bill"))
-
-    def test_disjoint_cell_gives_none(self):
-        t1 = VagueTuple(S2, ("a", "b"))
-        t2 = VagueTuple(S2, ("a", "c"))
-        assert tuple_intersection(t1, t2) is None
-
-    def test_disjunctive_set_operations(self):
-        t1 = DisjunctiveTuple(S2, [("a", "b"), ("a", "c")])
-        t2 = DisjunctiveTuple(S2, [("a", "c"), ("a", "d")])
-        assert tuple_union(t1, t2).disjuncts == frozenset({("a", "b"), ("a", "c"), ("a", "d")})
-        assert tuple_intersection(t1, t2).disjuncts == frozenset({("a", "c")})
-        assert tuple_intersection(t1, DisjunctiveTuple(S2, [("z", "z")])) is None
+        assert t1 != t2
 
 
 class TestWorlds:
@@ -189,17 +160,6 @@ class TestConversions:
     def test_world_sets_agree_after_conversion(self):
         assert set(enumerate_worlds(TRANSITIVITY_TRAP)) == set(enumerate_worlds(to_disjunctive(TRANSITIVITY_TRAP)))
 
-    def test_try_to_vague_on_product(self):
-        t = DisjunctiveTuple(S2, [("a", "b1"), ("a", "b2")])
-        assert try_to_vague(t) == VagueTuple(S2, ("a", {"b1", "b2"}))
-
-    def test_try_to_vague_on_correlated_disjuncts(self):
-        assert try_to_vague(DisjunctiveTuple(S2, [("a", "b"), ("a2", "b2")])) is None
-
-    def test_try_to_vague_full_product(self):
-        t = DisjunctiveTuple(S2, [("a", "b"), ("a", "b2"), ("a2", "b"), ("a2", "b2")])
-        assert try_to_vague(t) == VagueTuple(S2, ({"a", "a2"}, {"b", "b2"}))
-
 
 # --- hypothesis strategies -------------------------------------------------
 
@@ -221,25 +181,10 @@ def test_prop_vague_equality_is_attribute_wise(table):
             attr_wise = all(
                 project_tuple(t1, {a}) == project_tuple(t2, {a}) for a in table.schema
             )
-            assert equal_tuples(t1, t2) == attr_wise
+            assert (t1 == t2) == attr_wise
 
 
 @given(vague_tables())
 @settings(max_examples=40, deadline=None)
 def test_prop_conversion_preserves_worlds(table):
     assert set(enumerate_worlds(table)) == set(enumerate_worlds(to_disjunctive(table)))
-
-
-@given(vague_tables(n_attrs=2))
-@settings(max_examples=60, deadline=None)
-def test_prop_roundtrip_vague_disjunctive(table):
-    for t in table.tuples:
-        assert try_to_vague(to_disjunctive_tuple(t)) == t
-
-
-@given(st.tuples(cells, cells))
-@settings(max_examples=60, deadline=None)
-def test_prop_union_intersection_idempotent(pair):
-    t = VagueTuple(S2, pair)
-    assert tuple_union(t, t) == t
-    assert tuple_intersection(t, t) == t
