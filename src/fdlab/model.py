@@ -6,10 +6,14 @@ valuation (one value per cell, or one disjunct per tuple) yields a standard
 row; a valuation of a whole table yields a standard table with duplicates
 removed, called a possible world.
 
-The tuple constructors check and intern every value.  With `checked=True`
-they trust their input instead: it must already be in the stored form (a
-tuple of values, a tuple of frozenset cells, a frozenset of rows) built from
-`check_value` results, with the schema's arity; nothing is re-checked.
+Values are checked once, where they enter the program: the tuple
+constructors (and `Table.standard`/`vague`/`disjunctive`), `parse_table` and
+`generate_3dm_reduction` check and intern them.  With `checked=True` the
+constructors trust their input instead: it must already be in the stored
+form (a tuple of values, a tuple of frozenset cells, a frozenset of rows)
+built from `check_value` results, with the schema's arity.  Tables and
+tuples derived from checked ones (worlds, witnesses, projections) are built
+that way, so nothing is re-checked.
 
 All types here are immutable and hashable.  Values are plain strings with a
 total order (lexicographic), used only to make iteration and serialization
@@ -249,7 +253,7 @@ class Table:
         for t in unique:
             if not isinstance(t, expected):
                 raise ModelError(f"{model.value} table cannot hold a {type(t).__name__}")
-            if t.schema != schema:
+            if t.schema is not schema and t.schema != schema:
                 raise SchemaError(f"tuple schema {t.schema.attributes} differs from table schema {schema.attributes}")
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "model", model)
@@ -288,15 +292,20 @@ class Table:
 World = Table  # a possible world is a standard table
 
 
+def _world(schema: Schema, rows: Iterable[Row]) -> Table:
+    """The standard table of `rows`, valuations of checked tuples over `schema`."""
+    return Table(schema, Model.STANDARD, (StandardTuple(schema, r, checked=True) for r in rows))
+
+
 def project_tuple(t: AnyTuple, attrs: Iterable[str]) -> AnyTuple:
     """t[X]; preserves the tuple model."""
     pos = t.schema.positions(attrs)
     sub = t.schema.restrict(attrs)
     if isinstance(t, StandardTuple):
-        return StandardTuple(sub, tuple(t.values[i] for i in pos))
+        return StandardTuple(sub, tuple(t.values[i] for i in pos), checked=True)
     if isinstance(t, VagueTuple):
-        return VagueTuple(sub, tuple(t.cells[i] for i in pos))
-    return DisjunctiveTuple(sub, (tuple(row[i] for i in pos) for row in t.disjuncts))
+        return VagueTuple(sub, tuple(t.cells[i] for i in pos), checked=True)
+    return DisjunctiveTuple(sub, frozenset(tuple(row[i] for i in pos) for row in t.disjuncts), checked=True)
 
 
 def project_table(table: Table, attrs: Iterable[str]) -> Table:
@@ -318,7 +327,7 @@ def enumerate_worlds(table: Table, limit: Optional[int] = None, cap: int = DEFAU
         raise ValuationBudgetExceeded(cap)
     seen = set()
     for combo in itertools.product(*(t.valuations() for t in table.tuples)):
-        seen.add(Table.standard(table.schema, combo))
+        seen.add(_world(table.schema, combo))
         if limit is not None and len(seen) > limit:
             raise WorldLimitExceeded(limit)
     return sorted(seen, key=lambda w: tuple(t.sort_key() for t in w.tuples))
@@ -327,7 +336,7 @@ def enumerate_worlds(table: Table, limit: Optional[int] = None, cap: int = DEFAU
 def to_disjunctive_tuple(t: AnyTuple) -> DisjunctiveTuple:
     if isinstance(t, DisjunctiveTuple):
         return t
-    return DisjunctiveTuple(t.schema, t.valuations())
+    return DisjunctiveTuple(t.schema, frozenset(t.valuations()), checked=True)
 
 
 def to_disjunctive(table: Table) -> Table:

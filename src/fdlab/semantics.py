@@ -44,6 +44,7 @@ from .model import (
     StandardTuple,
     Table,
     VagueTuple,
+    _world,
     to_disjunctive_tuple,
 )
 
@@ -269,7 +270,7 @@ def find_strong_violation(
     if u2 is None:  # t2's only rhs row under b is u1's
         u2 = least(t2)
         u1 = least(t1, tuple(u2[i] for i in y_pos))
-    return Violation(hit.reason, (StandardTuple(table.schema, u1), StandardTuple(table.schema, u2)), b)
+    return Violation(hit.reason, tuple(StandardTuple(table.schema, u, checked=True) for u in (u1, u2)), b)
 
 
 def check_strong(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP) -> bool:
@@ -428,7 +429,7 @@ def check_seamless(
         if attempts > budget:
             raise ValuationBudgetExceeded(budget)
         frame[2:] = row, push(row)
-    return Table.standard(table.schema, [frame[2] for frame in stack])
+    return _world(table.schema, [frame[2] for frame in stack])
 
 
 # ---------------------------------------------------------------------------

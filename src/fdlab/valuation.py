@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ModelError, ParseError, PfdPreconditionError, ReductionError
-from .model import Model, Schema, Table, VagueTuple
+from .model import Memo, Model, Schema, Table, VagueTuple, _world, check_value
 from .semantics import FunctionalDependency, check_pfd
 
 DEFAULT_SEED = 0
@@ -78,7 +78,8 @@ def seamless_valuation_rows(
             first = {}
             for j, row in enumerate(cells):
                 for binding in itertools.product(*(row[p] for p in pos)):
-                    small, big = sorted((group[j], group[first.setdefault(binding, j)]), key=len)
+                    a, b = group[j], group[first.setdefault(binding, j)]
+                    small, big = (b, a) if len(b) < len(a) else (a, b)
                     if big is not small:
                         big.extend(small)
                         for k in small:
@@ -103,8 +104,7 @@ def seamless_valuation_pfd(
     table: Table, fds: Iterable[FunctionalDependency], seed: int = DEFAULT_SEED
 ) -> Table:
     """A possible world of `table` satisfying every FD in the set standardly."""
-    rows = seamless_valuation_rows(table, fds, seed=seed)
-    return Table.standard(table.schema, rows)
+    return _world(table.schema, seamless_valuation_rows(table, fds, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,9 @@ def generate_3dm_reduction(inst: ThreeDMInstance) -> ReductionOutput:
 
     One tuple per element; the element's own column is fixed, the other two
     element columns carry the full candidate sets, and the T column carries
-    the identifiers of exactly the triples containing the element.
+    the identifiers of exactly the triples containing the element.  Each
+    distinct element and triple id is checked once, in the order the rows
+    use them, and each full cell is built once.
     """
     schema = Schema(("X", "Y", "Z", "T"))
     ids_by_triple = {t: tid for tid, t in inst.triple_ids().items()}
@@ -170,12 +172,15 @@ def generate_3dm_reduction(inst: ThreeDMInstance) -> ReductionOutput:
             raise ReductionError(f"uncoverable element {element!r}: it appears in no triple")
         return ids
 
+    value = Memo(check_value)
+    checked = Memo(lambda cell: frozenset(map(value.__getitem__, cell)))
     rows = []
     for pos, elements in enumerate((inst.x_elements, inst.y_elements, inst.z_elements)):
         for e in elements:
+            ids = ids_containing(pos, e)
             cells = list(full)
             cells[pos] = frozenset((e,))
-            rows.append(VagueTuple(schema, (*cells, ids_containing(pos, e))))
+            rows.append(VagueTuple(schema, tuple(map(checked.__getitem__, (*cells, ids))), checked=True))
     fds = tuple(
         FunctionalDependency(frozenset((a,)), frozenset(("T",))) for a in ("X", "Y", "Z")
     )

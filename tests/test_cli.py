@@ -441,6 +441,18 @@ class TestCliWorldsClosureGen3dm:
         assert err == "fdlab: element sets must be disjoint\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("element, message", [
+        ("#y0", "bad value '#y0': must not begin with '#', which starts a comment line"),
+        ("y,0", "bad value 'y,0': characters ,|{}() are reserved"),
+    ])
+    def test_gen3dm_bad_element_exits_two(self, element, message, tmp_path, capsys):
+        inst = tmp_path / "bad.3dm"
+        inst.write_text(f"2\nx0 {element} z0\nx1 y1 z1\n")
+        assert run_cli("gen3dm", "--instance", str(inst)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fdlab: {message}\n"
+
     def test_gen3dm_pipeline_check_exits_zero(self, tmp_path):
         out_table = tmp_path / "t.vtab"
         out_fds = tmp_path / "t.fds"
