@@ -9,9 +9,11 @@ any mutation), so updates can be done as remove-then-insert.  Counters track
 how many tuples support a binding; an entry disappears when its counter
 reaches zero.
 
-Cost: check, insert and remove are linear in the tuple's lhs bindings,
-independent of the index size; a tuple with more than DEFAULT_VALUATION_CAP
-lhs bindings raises ValuationBudgetExceeded.
+Cost: one pass over the tuple's lhs bindings per check, insert or remove,
+independent of the index size, by a kernel built in `__init__`; `insert(t)`
+right after `check(t)` of the same tuple object reuses that pass, unless a
+write (which bumps a version) came between.  A tuple with more than
+DEFAULT_VALUATION_CAP lhs bindings raises ValuationBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Optional
 
 from .errors import IndexContractError, PfdRejected, SchemaError
 from .model import Schema
-from .semantics import FunctionalDependency, _fd_positions, contributions
+from .semantics import FunctionalDependency, _binder, _fd_positions
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,10 @@ class PfdIndex:
     def __init__(self, fd: FunctionalDependency, schema: Schema):
         self.fd = fd
         self.schema = schema
-        self._positions = _fd_positions(schema, fd)
+        self._bind = _binder(*_fd_positions(schema, fd))
         self._entries: dict = {}  # binding -> [answer set, support count]
+        self._version = 0  # bumped by every write
+        self._last = (None, None, None, None)  # the last scan: (tuple, version, contributions, conflict)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -55,19 +59,24 @@ class PfdIndex:
         return {k: tuple(e) for k, e in self._entries.items()}
 
     def _contributions(self, t) -> list:
-        if t.schema != self.schema:
+        if t.schema is not self.schema and t.schema != self.schema:
             raise SchemaError(f"tuple schema {t.schema.attributes} differs from index schema {self.schema.attributes}")
-        return contributions(t, *self._positions)
+        return self._bind(t)
 
     def _scan(self, t) -> tuple:
         """The tuple's contributions and its first conflict with a stored
-        entry (None if there is none)."""
-        contributions = self._contributions(t)
+        entry (None if there is none), kept until the next scan or write."""
+        last = self._last  # read once: a concurrent check may replace it
+        if last[0] is t and last[1] == self._version:
+            return last[2:]
+        contributions, conflict = self._contributions(t), None
         for b, answers in contributions:
             stored = self._entries.get(b, (None,))[0]
             if stored is not None and stored != answers:
-                return contributions, Conflict(b, stored, answers)
-        return contributions, None
+                conflict = Conflict(b, stored, answers)
+                break
+        self._last = t, self._version, contributions, conflict
+        return contributions, conflict
 
     def check(self, t) -> Optional[Conflict]:
         """Would `insert` reject this tuple?  Never mutates."""
@@ -78,17 +87,19 @@ class PfdIndex:
         contributions, conflict = self._scan(t)
         if conflict is not None:
             raise PfdRejected(conflict.binding, conflict.stored, conflict.offered)
+        self._version += 1
         for b, answers in contributions:
             self._entries.setdefault(b, [answers, 0])[1] += 1
 
     def remove(self, t) -> None:
         """Undo one prior insert of `t`; errors if `t` was never accepted."""
         contributions = self._contributions(t)
-        for b, answers in contributions:
-            if self._entries.get(b, (None,))[0] != answers:
+        entries = [self._entries.get(b) for b, _ in contributions]
+        for (b, answers), entry in zip(contributions, entries):
+            if entry is None or entry[0] != answers:
                 raise IndexContractError(f"tuple was never inserted: no matching entry for binding {b}")
-        for b, _ in contributions:
-            entry = self._entries[b]
+        self._version += 1
+        for (b, _), entry in zip(contributions, entries):
             entry[1] -= 1
             if not entry[1]:
                 del self._entries[b]

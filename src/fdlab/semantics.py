@@ -18,11 +18,12 @@ NP-complete, so it carries a search budget; its backtracking search keeps
 each tuple's domain forward-checked through a `binding -> tuples` index and
 takes the smallest one from a lazy heap.
 Weak is seamless satisfaction of a one-FD set.  The standard, strong, pfd
-and vertical checks share one core: `contributions` (a tuple's binding ->
-answer set pairs) and `_first_disagreement` (one hash pass over them).  No
-checker enumerates possible worlds.  rm scores only the pairs that share a
-value on its most selective lhs attribute, found in a `value -> tuples`
-index, and counts the pairs it compares against a cap.
+and vertical checks and `PfdIndex` share one core: `_binder`, built once
+per FD and pass, maps a tuple to its binding -> answer set pairs, and
+`_first_disagreement` makes one hash pass over them.  No checker enumerates
+possible worlds.  rm scores only the pairs that share a value on its most
+selective lhs attribute, found in a `value -> tuples` index, and counts the
+pairs it compares against a cap.
 """
 
 from __future__ import annotations
@@ -136,27 +137,46 @@ def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[st
     return SelectionResult(t, x_norm, binding, onto_attrs, answer_set(t, x_norm, binding, onto_attrs))
 
 
+def _getter(pos: tuple):
+    """Row projector onto `pos`: a scalar for one position, () for none."""
+    return operator.itemgetter(*pos) if pos else lambda row: ()
+
+
+def _binder(x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP):
+    """`contributions` for one FD as a kernel `t -> [(binding, answers), ...]`:
+    the projectors, the rhs positions bound by the lhs and the branch per
+    tuple type are resolved here, once per FD and pass, not once per tuple."""
+    # Projectors to tuples: `_getter`, with a one-element slice for one position.
+    xs, ys = (operator.itemgetter(slice(p[0], p[0] + 1)) if len(p) == 1 else _getter(p) for p in (x_pos, y_pos))
+    at = [x_pos.index(p) if p in x_pos else None for p in y_pos] if set(x_pos) & set(y_pos) else None
+
+    def disjunctive(t):
+        groups = {}
+        for row in t.disjuncts:
+            groups.setdefault(xs(row), set()).add(ys(row))
+        return [(b, frozenset(groups[b])) for b in sorted(groups)]
+
+    def vague(t):
+        lhs = list(map(sorted, xs(t.cells)))
+        if math.prod(map(len, lhs)) > cap:
+            raise ValuationBudgetExceeded(cap)
+        rhs = list(map(sorted, ys(t.cells)))
+        if at is None:  # the answer set is the same for every binding
+            answers = frozenset(itertools.product(*rhs))
+            return [(b, answers) for b in itertools.product(*lhs)]
+        return [(b, frozenset(itertools.product(*((b[k],) if k is not None else c for k, c in zip(at, rhs)))))
+                for b in itertools.product(*lhs)]
+
+    kernels = {StandardTuple: lambda t: [(xs(t.values), frozenset((ys(t.values),)))],
+               DisjunctiveTuple: disjunctive, VagueTuple: vague}
+    return lambda t: kernels[type(t)](t)
+
+
 def contributions(t, x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP) -> list:
     """(binding, t[X=binding][Y]) for every lhs binding of `t` (X and Y as
     schema positions), in sorted binding order.  Linear in the bindings; a
     vague tuple with more than `cap` of them raises ValuationBudgetExceeded."""
-    if isinstance(t, StandardTuple):
-        return [(tuple(t.values[i] for i in x_pos), frozenset((tuple(t.values[i] for i in y_pos),)))]
-    if isinstance(t, DisjunctiveTuple):
-        groups = {}
-        for row in t.disjuncts:
-            groups.setdefault(tuple(row[i] for i in x_pos), set()).add(tuple(row[i] for i in y_pos))
-        return [(b, frozenset(groups[b])) for b in sorted(groups)]
-    lhs = [sorted(t.cells[i]) for i in x_pos]
-    if math.prod(map(len, lhs)) > cap:
-        raise ValuationBudgetExceeded(cap)
-    rhs = [sorted(t.cells[i]) for i in y_pos]
-    at = {p: k for k, p in enumerate(x_pos) if p in y_pos}
-    if not at:  # the answer set is the same for every binding
-        answers = frozenset(itertools.product(*rhs))
-        return [(b, answers) for b in itertools.product(*lhs)]
-    return [(b, frozenset(itertools.product(*((b[at[p]],) if p in at else c for p, c in zip(y_pos, rhs)))))
-            for b in itertools.product(*lhs)]
+    return _binder(x_pos, y_pos, cap)(t)
 
 
 def _first_disagreement(tuples: tuple, pairs_of, reason: str) -> Optional[Violation]:
@@ -220,7 +240,7 @@ def find_standard_violation(table: Table, fd: FunctionalDependency) -> Optional[
     if table.model is not Model.STANDARD:
         raise ModelError("standard satisfaction is defined over standard tables only")
     x_pos, y_pos = _fd_positions(table.schema, fd)
-    return _first_disagreement(table.tuples, lambda t: contributions(t, x_pos, y_pos), "pair-disagrees")
+    return _first_disagreement(table.tuples, _binder(x_pos, y_pos), "pair-disagrees")
 
 
 def check_standard(table: Table, fd: FunctionalDependency) -> bool:
@@ -251,11 +271,8 @@ def find_strong_violation(
     Linear in total lhs bindings; a tuple with more than `valuation_cap` lhs
     bindings raises ValuationBudgetExceeded."""
     x_pos, y_pos = _fd_positions(table.schema, fd)
-
-    def pairs_of(t):
-        return [(b, answers if len(answers) == 1 else object())
-                for b, answers in contributions(t, x_pos, y_pos, valuation_cap)]
-
+    bind = _binder(x_pos, y_pos, valuation_cap)
+    pairs_of = lambda t: [(b, answers if len(answers) == 1 else object()) for b, answers in bind(t)]
     hit = _first_disagreement(table.tuples, pairs_of, "world-pair-disagrees")
     if hit is None:
         return None
@@ -288,11 +305,6 @@ def check_weak(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFA
 # ---------------------------------------------------------------------------
 # Seamless satisfaction (NP-complete; pruned exhaustive search)
 # ---------------------------------------------------------------------------
-
-
-def _getter(pos: tuple):
-    """Row projector onto `pos`: a scalar for one position, () for none."""
-    return operator.itemgetter(*pos) if pos else lambda row: ()
 
 
 def check_seamless(
@@ -445,9 +457,7 @@ def find_pfd_violation(
     Linear in total lhs bindings; a tuple with more than `valuation_cap`
     lhs bindings raises ValuationBudgetExceeded."""
     x_pos, y_pos = _fd_positions(table.schema, fd)
-    return _first_disagreement(
-        table.tuples, lambda t: contributions(t, x_pos, y_pos, valuation_cap), "answer-sets-differ"
-    )
+    return _first_disagreement(table.tuples, _binder(x_pos, y_pos, valuation_cap), "answer-sets-differ")
 
 
 def check_pfd(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP) -> bool:
@@ -475,7 +485,7 @@ def find_vertical_violation(
     _require_within(table, valuation_cap)
     tuples = sorted(table.tuples, key=lambda t: sorted(t.valuations()))
     x_pos, y_pos = _fd_positions(table.schema, fd)
-    hit = _first_disagreement(tuples, lambda t: contributions(t, x_pos, y_pos, valuation_cap), "answer-sets-differ")
+    hit = _first_disagreement(tuples, _binder(x_pos, y_pos, valuation_cap), "answer-sets-differ")
     if hit is not None:
         return Violation(hit.reason, tuple(map(to_disjunctive_tuple, hit.tuples)), hit.binding)
     if table.model is not Model.DISJUNCTIVE:  # a vague tuple's rows are the product of its cells
@@ -483,8 +493,9 @@ def find_vertical_violation(
     z_pos = table.schema.positions(fd.rhs - fd.lhs)
     zw_pos = z_pos + tuple(p for p in range(len(table.schema)) if p not in x_pos and p not in z_pos)
     nz = len(z_pos)
+    bind = _binder(x_pos, zw_pos, valuation_cap)
     for t in tuples:
-        groups = [(b, {row[:nz] for row in rows}, rows) for b, rows in contributions(t, x_pos, zw_pos, valuation_cap)]
+        groups = [(b, {row[:nz] for row in rows}, rows) for b, rows in bind(t)]
         for b, z, _ in groups:
             if math.prod(len(set(column)) for column in zip(*z)) != len(z):
                 return Violation("not-a-product", (to_disjunctive_tuple(t),), b)

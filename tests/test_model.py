@@ -1,5 +1,7 @@
 """Core model layer: projection, equality, worlds."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from fdlab import (
     to_disjunctive_tuple,
 )
 
+from gen import rand_vague_table
 from tables import TRANSITIVITY_TRAP, NO_JOINT_WORLD
 
 
@@ -159,6 +162,21 @@ class TestConversions:
 
     def test_world_sets_agree_after_conversion(self):
         assert set(enumerate_worlds(TRANSITIVITY_TRAP)) == set(enumerate_worlds(to_disjunctive(TRANSITIVITY_TRAP)))
+
+
+def flat_key(t: VagueTuple) -> tuple:
+    """Each cell's sorted values, each cell closed by "" (no value is empty)."""
+    return tuple(v for cell in t.cells for v in (*sorted(cell), ""))
+
+
+def test_canonical_vague_order_is_the_flat_key_order():
+    # Table sorts vague tuples on nested per-cell keys; the flat key orders
+    # them the same, prefix cells included, so either may be used.
+    prefix = Table.vague(S2, [({"a", "b", "c"}, "x"), ({"a", "b"}, "y"), ("a", "z"), ({"a", "b"}, "x")])
+    assert [t.render() for t in prefix.tuples] == ["a,z", "{a|b},x", "{a|b},y", "{a|b|c},x"]
+    rng = random.Random(32)
+    for table in [prefix] + [rand_vague_table(rng, max_tuples=12) for _ in range(300)]:
+        assert list(table.tuples) == sorted(table.tuples, key=flat_key)
 
 
 # --- hypothesis strategies -------------------------------------------------

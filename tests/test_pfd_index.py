@@ -5,6 +5,7 @@ import random
 import pytest
 
 from fdlab import (
+    Conflict,
     IndexContractError,
     Model,
     PfdIndex,
@@ -134,6 +135,103 @@ class TestCheck:
     def test_empty_index_accepts_anything(self):
         idx = PfdIndex(ES_FD, ES)
         assert idx.check(vtuple({"a", "b"}, {"c", "d"})) is None
+
+
+def count_scans(idx):
+    """Record every tuple the index runs its binding kernel on."""
+    scanned = []
+    bind = idx._bind
+    idx._bind = lambda t: scanned.append(t) or bind(t)
+    return scanned
+
+
+def offer(idx, t):
+    """insert(t), reporting a rejection as the Conflict it carries."""
+    try:
+        idx.insert(t)
+    except PfdRejected as err:
+        return Conflict(err.binding, err.stored, err.offered)
+    return None
+
+
+class TestReuseSlot:
+    def test_insert_right_after_check_reuses_the_scan(self):
+        idx = PfdIndex(ES_FD, ES)
+        scanned = count_scans(idx)
+        t = vtuple("John", {"Jill", "Bob"})
+        assert idx.check(t) is None
+        idx.insert(t)
+        assert scanned == [t]
+
+    def test_write_between_check_and_insert_forces_a_rescan(self):
+        idx = PfdIndex(ES_FD, ES)
+        t, u = vtuple("John", {"Jill", "Bob"}), vtuple("John", "Jill")
+        assert idx.check(t) is None
+        idx.insert(u)
+        with pytest.raises(PfdRejected) as err:
+            idx.insert(t)
+        assert (err.value.stored, err.value.offered) == (frozenset({("Jill",)}), frozenset({("Jill",), ("Bob",)}))
+        assert idx.entries() == {("John",): (frozenset({("Jill",)}), 1)}
+
+    def test_removing_the_conflicting_tuple_lets_insert_succeed(self):
+        idx = PfdIndex(ES_FD, ES)
+        t, u = vtuple("John", {"Jill", "Bob"}), vtuple("John", "Jill")
+        idx.insert(u)
+        assert idx.check(t) == Conflict(("John",), frozenset({("Jill",)}), frozenset({("Jill",), ("Bob",)}))
+        idx.remove(u)
+        idx.insert(t)
+        assert idx == PfdIndex.rebuild(ES_FD, ES, [t])
+
+    def test_equal_but_distinct_tuple_is_rescanned(self):
+        idx = PfdIndex(ES_FD, ES)
+        scanned = count_scans(idx)
+        t = vtuple("John", {"Jill", "Bob"})
+        twin = vtuple("John", {"Jill", "Bob"})
+        assert twin == t and twin is not t
+        assert idx.check(t) is None
+        idx.insert(twin)
+        assert scanned == [t, twin] and scanned[1] is twin
+
+    def test_rejected_insert_keeps_the_slot_valid(self):
+        idx = PfdIndex(ES_FD, ES)
+        scanned = count_scans(idx)
+        idx.insert(vtuple("John", "Jill"))
+        t = vtuple("John", "Bob")
+        for _ in range(3):
+            with pytest.raises(PfdRejected):
+                idx.insert(t)
+        assert scanned.count(t) == 1
+
+    @pytest.mark.parametrize("target", [fd("A", "B"), fd("A", "A B"), fd("B", "A")])
+    def test_random_interleavings_match_rebuild(self, target):
+        rng = random.Random(13)
+        schema = Schema(("A", "B"))
+        rejected = 0
+        for _ in range(40):
+            idx = PfdIndex(target, schema)
+            live = []
+            for _ in range(rng.randint(1, 25)):
+                t = VagueTuple(schema, (rand_cell(rng), rand_cell(rng)))
+                assert idx.check(t) == PfdIndex.rebuild(target, schema, live).check(t)
+                roll = rng.random()
+                if roll < 0.25 and live:  # a write between check(t) and insert(t)
+                    victim = rng.choice(live)
+                    idx.remove(victim)
+                    live.remove(victim)
+                elif roll < 0.5:
+                    u = VagueTuple(schema, (rand_cell(rng), rand_cell(rng)))
+                    if idx.check(u) is None:
+                        idx.insert(u)
+                        live.append(u)
+                elif roll < 0.6:  # an equal but distinct object
+                    t = VagueTuple(schema, t.cells)
+                expected = PfdIndex.rebuild(target, schema, live).check(t)
+                assert offer(idx, t) == expected
+                rejected += expected is not None
+                if expected is None:
+                    live.append(t)
+                assert idx == PfdIndex.rebuild(target, schema, live)
+        assert rejected > 50
 
 
 class TestOracleAgreement:

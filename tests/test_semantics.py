@@ -29,6 +29,8 @@ from fdlab import (
     project_table,
     resemblance,
     select,
+    seamless_valuation_rows,
+    to_disjunctive,
     tuple_resemblance,
 )
 from fdlab import semantics
@@ -38,6 +40,20 @@ import tables as T
 from oracles import check_pfd_decomposed
 from tables import fd
 from gen import grouped_vague_table, rand_disjunctive_table, rand_fd, rand_vague_table, unique_lhs_vague_table
+
+
+def counting_binder(monkeypatch):
+    """Record each `_binder` construction and each tuple its kernels bind."""
+    built, calls = [], []
+    real = semantics._binder
+
+    def binder(*args):
+        built.append(args)
+        kernel = real(*args)
+        return lambda t: calls.append(t) or kernel(t)
+
+    monkeypatch.setattr(semantics, "_binder", binder)
+    return built, calls
 
 
 class TestSelect:
@@ -282,10 +298,8 @@ class TestVertical:
 
     def test_per_tuple_pass_runs_on_disjunctive_tables_only(self, monkeypatch):
         # A vague tuple's rows under a binding are the product of its cells,
-        # so only the agreement pass calls `contributions`, once per tuple.
-        calls = []
-        real = semantics.contributions
-        monkeypatch.setattr(semantics, "contributions", lambda t, *a: calls.append(t) or real(t, *a))
+        # so only the agreement pass runs its binding kernel, once per tuple.
+        _, calls = counting_binder(monkeypatch)
         table, fds = grouped_vague_table(random.Random(2), 200)
         for f in fds:
             calls.clear()
@@ -414,6 +428,28 @@ class TestDispatcher:
                 for sem in (Semantics.STANDARD, Semantics.STRONG, Semantics.WEAK, Semantics.PFD)
             }
             assert len(set(verdicts.values())) == 1
+
+    def test_each_check_builds_one_kernel_per_fd_and_pass(self, monkeypatch):
+        # A kernel built per tuple would multiply `built` by the tuple count.
+        built, calls = counting_binder(monkeypatch)
+        table, fds = grouped_vague_table(random.Random(2), 200)
+        world = check_seamless(table, fds)
+        cases = [
+            (world, Semantics.STANDARD, 1),
+            (table, Semantics.STRONG, 1),
+            (table, Semantics.PFD, 1),
+            (table, Semantics.VERTICAL, 1),
+            (to_disjunctive(table), Semantics.VERTICAL, 2),  # agreement, then the per-tuple pass
+        ]
+        for r, sem, passes in cases:
+            built.clear()
+            calls.clear()
+            check(r, fds, sem)  # a hash pass scans every tuple, verdict or not
+            assert len(built) == passes * len(fds)
+            assert len(calls) == passes * len(fds) * len(r)
+        built.clear()
+        seamless_valuation_rows(table, fds)  # its check_pfd precondition
+        assert len(built) == len(fds)
 
     def test_inapplicable_combination_raises(self):
         with pytest.raises(ModelError):
