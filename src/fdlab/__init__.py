@@ -19,7 +19,6 @@ from .model import (
     StandardTuple,
     Table,
     VagueTuple,
-    World,
     enumerate_worlds,
     project_table,
     project_tuple,

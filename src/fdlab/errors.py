@@ -43,8 +43,8 @@ class ParseError(FdlabError):
 class PfdPreconditionError(FdlabError):
     """Input to the valuation algorithm fails a required dependency."""
 
-    def __init__(self, fd, message: str | None = None):
-        super().__init__(message or f"dependency not satisfied by the table: {fd}")
+    def __init__(self, fd):
+        super().__init__(f"dependency not satisfied by the table: {fd}")
         self.fd = fd
 
 

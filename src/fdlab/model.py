@@ -68,9 +68,6 @@ class Schema:
     def __iter__(self) -> Iterator[str]:
         return iter(self.attributes)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.attributes
-
     def positions(self, attrs: Iterable[str]) -> tuple:
         """Positions of `attrs`, in schema order; rejects unknown names."""
         wanted = set(attrs)
@@ -144,10 +141,6 @@ class StandardTuple:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "values", values)
 
-    @property
-    def model(self) -> Model:
-        return Model.STANDARD
-
     def valuations(self) -> Iterator[Row]:
         return iter((self.values,))
 
@@ -179,10 +172,6 @@ class VagueTuple:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "cells", cells)
 
-    @property
-    def model(self) -> Model:
-        return Model.VAGUE
-
     def valuations(self) -> Iterator[Row]:
         """All standard rows obtainable from this tuple, in value order."""
         return itertools.product(*(sorted(c) for c in self.cells))
@@ -211,10 +200,6 @@ class DisjunctiveTuple:
                     raise SchemaError(f"disjunct arity {len(row)} does not match schema {schema.attributes}")
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "disjuncts", disjuncts)
-
-    @property
-    def model(self) -> Model:
-        return Model.DISJUNCTIVE
 
     def valuations(self) -> Iterator[Row]:
         return iter(sorted(self.disjuncts))
@@ -253,7 +238,7 @@ class Table:
         for t in unique:
             if not isinstance(t, expected):
                 raise ModelError(f"{model.value} table cannot hold a {type(t).__name__}")
-            if t.schema is not schema and t.schema != schema:
+            if t.schema.attributes != schema.attributes:
                 raise SchemaError(f"tuple schema {t.schema.attributes} differs from table schema {schema.attributes}")
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "model", model)
@@ -287,9 +272,6 @@ class Table:
 
     def valuation_count(self) -> int:
         return math.prod(t.valuation_count() for t in self.tuples)
-
-
-World = Table  # a possible world is a standard table
 
 
 def _world(schema: Schema, rows: Iterable[Row]) -> Table:

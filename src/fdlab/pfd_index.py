@@ -59,7 +59,7 @@ class PfdIndex:
         return {k: tuple(e) for k, e in self._entries.items()}
 
     def _contributions(self, t) -> list:
-        if t.schema is not self.schema and t.schema != self.schema:
+        if t.schema.attributes != self.schema.attributes:
             raise SchemaError(f"tuple schema {t.schema.attributes} differs from index schema {self.schema.attributes}")
         return self._bind(t)
 

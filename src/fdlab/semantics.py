@@ -105,15 +105,6 @@ def _rows_under(t, x_pos: tuple, binding: tuple, y_pos: tuple):
     ))
 
 
-def answer_set(t, x_attrs: Iterable[str], binding: tuple, y_attrs: Iterable[str]) -> frozenset:
-    """t[X=binding][Y]: selected valuations of t, projected on Y; the Y
-    projection of `_rows_under`, so a vague tuple's cells outside X and Y
-    contribute one value each."""
-    x_pos = t.schema.positions(x_attrs)
-    y_pos = t.schema.positions(y_attrs)
-    return frozenset(tuple(row[i] for i in y_pos) for row in _rows_under(t, x_pos, binding, y_pos))
-
-
 @dataclass(frozen=True)
 class SelectionResult:
     """Outcome of selecting t[X=binding] and projecting the survivors."""
@@ -126,15 +117,18 @@ class SelectionResult:
 
 
 def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[str]] = None) -> SelectionResult:
-    """t[X=binding], projected on `onto` (defaults to the full schema).  The
-    binding gives one value per attribute of X, in schema order; any other
-    length raises SchemaError."""
+    """t[X=binding], projected on `onto` (defaults to the full schema): the
+    onto projection of `_rows_under`, so a vague tuple's cells outside X and
+    onto contribute one value each.  The binding gives one value per
+    attribute of X, in schema order; any other length raises SchemaError."""
     onto_attrs = tuple(t.schema.attributes if onto is None else t.schema.restrict(onto).attributes)
     x_norm = tuple(t.schema.restrict(x_attrs).attributes)
     binding = tuple(binding)
     if len(binding) != len(x_norm):
         raise SchemaError(f"binding {binding} has {len(binding)} values for the {len(x_norm)} attributes {x_norm}")
-    return SelectionResult(t, x_norm, binding, onto_attrs, answer_set(t, x_norm, binding, onto_attrs))
+    x_pos, y_pos = t.schema.positions(x_norm), t.schema.positions(onto_attrs)
+    answers = frozenset(tuple(row[i] for i in y_pos) for row in _rows_under(t, x_pos, binding, y_pos))
+    return SelectionResult(t, x_norm, binding, onto_attrs, answers)
 
 
 def _getter(pos: tuple):
@@ -143,9 +137,12 @@ def _getter(pos: tuple):
 
 
 def _binder(x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP):
-    """`contributions` for one FD as a kernel `t -> [(binding, answers), ...]`:
-    the projectors, the rhs positions bound by the lhs and the branch per
-    tuple type are resolved here, once per FD and pass, not once per tuple."""
+    """The kernel `t -> [(binding, t[X=binding][Y]), ...]` for one FD (X and
+    Y as schema positions): every lhs binding of `t`, in sorted order, with
+    its rhs answer set.  Linear in the bindings; a vague tuple with more
+    than `cap` of them raises ValuationBudgetExceeded.  The projectors, the
+    rhs positions bound by the lhs and the branch per tuple type are
+    resolved here, once per FD and pass, not once per tuple."""
     # Projectors to tuples: `_getter`, with a one-element slice for one position.
     xs, ys = (operator.itemgetter(slice(p[0], p[0] + 1)) if len(p) == 1 else _getter(p) for p in (x_pos, y_pos))
     at = [x_pos.index(p) if p in x_pos else None for p in y_pos] if set(x_pos) & set(y_pos) else None
@@ -170,13 +167,6 @@ def _binder(x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP):
     kernels = {StandardTuple: lambda t: [(xs(t.values), frozenset((ys(t.values),)))],
                DisjunctiveTuple: disjunctive, VagueTuple: vague}
     return lambda t: kernels[type(t)](t)
-
-
-def contributions(t, x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP) -> list:
-    """(binding, t[X=binding][Y]) for every lhs binding of `t` (X and Y as
-    schema positions), in sorted binding order.  Linear in the bindings; a
-    vague tuple with more than `cap` of them raises ValuationBudgetExceeded."""
-    return _binder(x_pos, y_pos, cap)(t)
 
 
 def _first_disagreement(tuples: tuple, pairs_of, reason: str) -> Optional[Violation]:
@@ -483,7 +473,7 @@ def find_vertical_violation(
     is converted.  Cost: linear in total valuations; a tuple with more than
     `valuation_cap` valuations raises ValuationBudgetExceeded."""
     _require_within(table, valuation_cap)
-    tuples = sorted(table.tuples, key=lambda t: sorted(t.valuations()))
+    tuples = sorted(table.tuples, key=lambda t: list(t.valuations()))
     x_pos, y_pos = _fd_positions(table.schema, fd)
     hit = _first_disagreement(tuples, _binder(x_pos, y_pos, valuation_cap), "answer-sets-differ")
     if hit is not None:

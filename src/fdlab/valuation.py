@@ -32,17 +32,6 @@ from .semantics import FunctionalDependency, check_pfd
 DEFAULT_SEED = 0
 
 
-def _normalize_fds(fds: Iterable[FunctionalDependency]) -> list:
-    """Split every X -> Y into X -> A for A in Y-X (lossless on vague tables)."""
-    out = []
-    for fd in fds:
-        for attr in sorted(fd.rhs - fd.lhs):
-            single = FunctionalDependency(fd.lhs, frozenset((attr,)))
-            if single not in out:
-                out.append(single)
-    return out
-
-
 def seamless_valuation_rows(
     table: Table,
     fds: Iterable[FunctionalDependency],
@@ -62,13 +51,13 @@ def seamless_valuation_rows(
     if table.model is Model.STANDARD:
         return [t.values for t in table.tuples]
 
-    normalized = _normalize_fds(fds)
     schema = table.schema
     rng = random.Random(seed)
-    cells = [[set(c) for c in t.cells] for t in table.tuples]
+    cells = [list(t.cells) for t in table.tuples]
 
     for a_pos, attr in enumerate(schema):
-        determining = [schema.positions(fd.lhs) for fd in normalized if fd.rhs == frozenset((attr,))]
+        # X -> Y splits losslessly into X -> A for A in Y-X on vague tables.
+        determining = list(dict.fromkeys(schema.positions(fd.lhs) for fd in fds if attr in fd.rhs - fd.lhs))
         # The lhs cells stay put within one attribute, so the components of
         # "could agree on a determining lhs" (share a binding of its lhs
         # cells) are found once: merge the holders of each binding, moving
@@ -88,6 +77,7 @@ def seamless_valuation_rows(
             if len(cells[i][a_pos]) <= 1:
                 continue
             choice = rng.choice(sorted(cells[i][a_pos]))
+            picked = frozenset((choice,))
             for j in group[i]:
                 # A component is closed: every member still carries the
                 # seed's cell, so the choice is always available.
@@ -96,7 +86,7 @@ def seamless_valuation_rows(
                         f"cell ({j}, {attr}) would be reassigned from "
                         f"{cells[j][a_pos]} to {choice!r}"
                     )
-                cells[j][a_pos] = {choice}
+                cells[j][a_pos] = picked
     return [tuple(next(iter(c)) for c in row) for row in cells]
 
 

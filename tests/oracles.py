@@ -22,7 +22,7 @@ from fdlab.armstrong import (
 )
 from fdlab.model import to_disjunctive
 from fdlab.semantics import DEFAULT_VALUATION_CAP, MAX_RESEMBLANCE, Violation, _require_within
-from fdlab.valuation import DEFAULT_SEED, _normalize_fds
+from fdlab.valuation import DEFAULT_SEED
 
 
 def _cell(t, i):
@@ -334,12 +334,11 @@ def one_pass_valuation_rows(table, fds, seed=DEFAULT_SEED):
     """The valuation flood with one sweep over the tuples per ambiguous cell,
     in place of the whole component: a tuple linked to the group only through
     a later tuple is missed, so a later pick can overwrite an earlier one."""
-    fds = _normalize_fds(fds)
     schema = table.schema
     rng = random.Random(seed)
     cells = [[set(c) for c in t.cells] for t in table.tuples]
     for a_pos, attr in enumerate(schema):
-        determining = [schema.positions(f.lhs) for f in fds if f.rhs == frozenset((attr,))]
+        determining = list(dict.fromkeys(schema.positions(f.lhs) for f in fds if attr in f.rhs - f.lhs))
         for i in range(len(cells)):
             if len(cells[i][a_pos]) <= 1:
                 continue
@@ -358,12 +357,11 @@ def worklist_valuation_rows(table, fds, seed=DEFAULT_SEED):
     member is expanded once against every tuple, and two tuples could agree
     on a determining lhs when their cells intersect at every lhs position.
     `seamless_valuation_rows` must return the same rows."""
-    fds = _normalize_fds(fds)
     schema = table.schema
     rng = random.Random(seed)
     cells = [[set(c) for c in t.cells] for t in table.tuples]
     for a_pos, attr in enumerate(schema):
-        determining = [schema.positions(f.lhs) for f in fds if f.rhs == frozenset((attr,))]
+        determining = list(dict.fromkeys(schema.positions(f.lhs) for f in fds if attr in f.rhs - f.lhs))
         for i in range(len(cells)):
             if len(cells[i][a_pos]) <= 1:
                 continue

@@ -129,6 +129,17 @@ class TestCheckDerivation:
         with pytest.raises(ValueError):
             check_derivation([], bad)
 
+    @pytest.mark.parametrize("step", [
+        DerivationStep(AUGMENTATION, fd("A C", "B C"), (0, 0), frozenset("C")),
+        DerivationStep(AUGMENTATION, fd("A C", "B"), (0,), frozenset("C")),
+        DerivationStep(TRANSITIVITY, fd("A", "C"), (0,)),
+        DerivationStep(TRANSITIVITY, fd("A", "B C"), (0, 1)),
+    ], ids=["augmentation-premises", "augmentation-conclusion", "transitivity-premises", "transitivity-conclusion"])
+    def test_rule_application_must_match_its_rule(self, step):
+        base = [fd("A", "B"), fd("B", "C")]
+        given = (DerivationStep(GIVEN, base[0]), DerivationStep(GIVEN, base[1]))
+        assert not check_derivation(base, Derivation(step.conclusion, given + (step,)))
+
     def test_conclusion_must_match_last_step(self):
         d = Derivation(fd("A", "B"), (DerivationStep(REFLEXIVITY, fd("A", "A")),))
         assert not check_derivation([], d)

@@ -1,12 +1,15 @@
 """Core model layer: projection, equality, worlds."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdlab import (
     DisjunctiveTuple,
+    Model,
+    ModelError,
     Schema,
     SchemaError,
     StandardTuple,
@@ -21,7 +24,7 @@ from fdlab import (
     to_disjunctive_tuple,
 )
 
-from gen import rand_vague_table
+from gen import rand_disjunctive_table, rand_standard_table, rand_vague_table
 from tables import TRANSITIVITY_TRAP, NO_JOINT_WORLD
 
 
@@ -51,6 +54,25 @@ class TestSchema:
     def test_value_beginning_with_hash_rejected(self, make):
         # A row whose first value begins with '#' reads back as a comment.
         with pytest.raises(SchemaError, match="must not begin with '#'"):
+            make(Schema(("A", "B")))
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda s: Schema(("A", "B(")), SchemaError, "attribute name 'B(': characters ,|{}() are reserved"),
+        (lambda s: StandardTuple(s, ("a ", "b")), SchemaError, "bad value 'a ': must be a non-empty trimmed string"),
+        (lambda s: StandardTuple(s, ("a",)), SchemaError, "arity 1 does not match schema ('A', 'B')"),
+        (lambda s: VagueTuple(s, ("a", "b", "c")), SchemaError, "arity 3 does not match schema ('A', 'B')"),
+        (lambda s: DisjunctiveTuple(s, [("a", "b"), ("a",)]), SchemaError,
+         "disjunct arity 1 does not match schema ('A', 'B')"),
+        (lambda s: VagueTuple(s, ("a", set())), SchemaError, "empty cell for attribute B"),
+        (lambda s: DisjunctiveTuple(s, []), SchemaError, "disjunctive tuple needs at least one disjunct"),
+        (lambda s: Table(s, Model.VAGUE, [StandardTuple(s, ("a", "b"))]), ModelError,
+         "vague table cannot hold a StandardTuple"),
+        (lambda s: Table(s, Model.STANDARD, [StandardTuple(Schema(("B", "A")), ("b", "a"))]), SchemaError,
+         "tuple schema ('B', 'A') differs from table schema ('A', 'B')"),
+    ], ids=["reserved-name", "untrimmed-value", "standard-arity", "vague-arity", "disjunct-arity",
+            "empty-cell", "empty-disjunction", "wrong-model", "other-schema"])
+    def test_malformed_input_rejected(self, make, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             make(Schema(("A", "B")))
 
     def test_hash_inside_a_name_or_value_is_kept(self):
@@ -159,6 +181,14 @@ class TestConversions:
         t = StandardTuple(S2, ("a", "b"))
         assert list(t.valuations()) == [("a", "b")] and t.valuation_count() == 1
         assert Table.standard(S2, [("a", "b"), ("a2", "b")]).valuation_count() == 1
+
+    def test_valuations_come_in_value_order(self):
+        # Vertical's tuple order and `_rows_under` read valuations unsorted.
+        rng = random.Random(14)
+        for make in (rand_standard_table, rand_vague_table, rand_disjunctive_table):
+            for _ in range(100):
+                for t in make(rng).tuples:
+                    assert list(t.valuations()) == sorted(t.valuations())
 
     def test_world_sets_agree_after_conversion(self):
         assert set(enumerate_worlds(TRANSITIVITY_TRAP)) == set(enumerate_worlds(to_disjunctive(TRANSITIVITY_TRAP)))

@@ -17,8 +17,8 @@ from fdlab import (
     seamless_valuation_rows, select,
 )
 from fdlab.semantics import (
+    _binder,
     _fd_positions,
-    contributions,
     find_strong_violation,
     find_pfd_violation,
     find_rm_violation,
@@ -348,7 +348,7 @@ def test_contributions_follow_the_definition():
         x_pos, y_pos = _fd_positions(table.schema, f)
         for t in table.tuples:
             want = [(b, O.answer_set(t, x_attrs, b, y_attrs)) for b in sorted(O.bindings(t, x_attrs))]
-            assert contributions(t, x_pos, y_pos) == want
+            assert _binder(x_pos, y_pos)(t) == want
 
 
 def test_select_follows_the_definition():

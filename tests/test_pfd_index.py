@@ -86,9 +86,14 @@ class TestBasics:
         # entry, so a conflicting tuple would slip in.
         idx = PfdIndex(fd("A C", "B"), Schema(("A", "C", "B")))
         idx.insert(VagueTuple(idx.schema, ("a", "c", "b1")))
-        with pytest.raises(SchemaError):
+        message = r"^tuple schema \('C', 'A', 'B'\) differs from index schema \('A', 'C', 'B'\)$"
+        with pytest.raises(SchemaError, match=message):
             idx.insert(VagueTuple(Schema(("C", "A", "B")), ("c", "a", "b2")))
         assert len(idx) == 1
+
+    def test_equality_against_a_non_index_is_not_implemented(self):
+        idx = PfdIndex(ES_FD, ES)
+        assert idx.__eq__(idx.entries()) is NotImplemented and idx != idx.entries()
 
 
 class TestRemove:

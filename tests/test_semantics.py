@@ -350,6 +350,13 @@ class TestResemblance:
         assert tuple_resemblance(t1, t2, {"A", "B"}) == 0.0
         assert tuple_resemblance(t1, t2, {"A"}) == 1.0
 
+    def test_tuple_form_rejects_disjunctive_tuples(self):
+        t = VagueTuple(Schema(("A",)), ({"a"},))
+        d = DisjunctiveTuple(Schema(("A",)), [("a",)])
+        for pair in ((t, d), (d, t)):
+            with pytest.raises(ModelError, match="^tuple resemblance is defined for vague tuples$"):
+                tuple_resemblance(*pair, {"A"})
+
     def test_rm_verdicts_on_resemblance_trap(self):
         assert check_rm(T.RESEMBLANCE_TRAP, T.AB)
         assert check_rm(T.RESEMBLANCE_TRAP, T.CB)

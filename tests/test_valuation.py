@@ -1,6 +1,7 @@
 """Valuation algorithm and the matching-problem reduction."""
 
 import random
+import re
 import time
 
 import pytest
@@ -196,6 +197,23 @@ class TestInstanceFormat:
     def test_disjoint_sets_required(self):
         with pytest.raises(ValueError):
             ThreeDMInstance(("e",), ("e",), ("z",), [("e", "e", "z")])
+
+    @pytest.mark.parametrize("sets, triples, message", [
+        ((("x",), ("y", "y2"), ("z",)), [], "element sets must be non-empty and equally sized"),
+        ((("x",), ("y",), ("z",)), [("y", "x", "z")], "triple ('y', 'x', 'z') does not draw one element from each set"),
+    ], ids=["unequal-sets", "misplaced-triple"])
+    def test_malformed_instance_rejected(self, sets, triples, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ThreeDMInstance(*sets, triples)
+
+    @pytest.mark.parametrize("text, message", [
+        ("\n# only a comment\n", "empty instance file"),
+        ("two\nx y z\n", "line 1: expected the set size, got 'two'"),
+        ("0\nx y z\n", "line 1: set size must be at least 1"),
+    ], ids=["empty", "non-integer-size", "size-below-one"])
+    def test_bad_header_rejected(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_3dm(text)
 
     def test_columns_sharing_an_element_are_a_parse_error(self):
         with pytest.raises(ParseError, match="^element sets must be disjoint$"):
