@@ -275,8 +275,14 @@ class Table:
 
 
 def _world(schema: Schema, rows: Iterable[Row]) -> Table:
-    """The standard table of `rows`, valuations of checked tuples over `schema`."""
-    return Table(schema, Model.STANDARD, (StandardTuple(schema, r, checked=True) for r in rows))
+    """The standard table of `rows`, valuations of checked tuples over `schema`.
+    It equals `Table.__init__`'s, built from the sorted distinct rows (a
+    standard tuple's sort key is its row) without its per-tuple checks,
+    hashes and keyed sort."""
+    world = object.__new__(Table)
+    tuples = tuple(StandardTuple(schema, r, checked=True) for r in sorted(set(rows)))
+    vars(world).update(schema=schema, model=Model.STANDARD, tuples=tuples)
+    return world
 
 
 def project_tuple(t: AnyTuple, attrs: Iterable[str]) -> AnyTuple:

@@ -314,12 +314,17 @@ def check_seamless(
     is a dead end; a lazy heap keyed by (domain size, at least 1; index)
     finds it.  After the first dead end, a row is no longer tried when it
     gives a binding an rhs value that a tuple with that single lhs binding
-    cannot take.  Raises ValuationBudgetExceeded before the search if a
-    tuple has more than `budget` valuations, and after `budget` candidate
-    extensions.  Cost: exponential in tuples in the worst case (the problem
-    is NP-complete); without backtracking, each new binding filters its
-    holders once per FD, and each node costs O(log n) heap work per domain
-    that changed.
+    cannot take.  A free-standing tuple, one that shares no lhs binding with
+    another tuple under any FD, is in no conflict: it takes its least
+    valuation outside the search, the row the search would end with, at one
+    step that is charged only once a world is found.  Raises
+    ValuationBudgetExceeded before the search if a tuple has more than
+    `budget` valuations, and after `budget` steps: candidate extensions,
+    then free-standing tuples.  Cost: linear in the valuations of
+    free-standing tuples; exponential in the others in the worst case (the
+    problem is NP-complete); without backtracking, each new binding filters
+    its holders once per FD, and each node costs O(log n) heap work per
+    domain that changed.
     """
     fds = list(fds)
     getters = [tuple(map(_getter, _fd_positions(table.schema, fd))) for fd in fds]
@@ -333,11 +338,21 @@ def check_seamless(
         for h, (xg, _) in zip(holders, getters):
             for key in set(map(xg, rows)):
                 h.setdefault(key, []).append(j)
-    free = [True] * len(domains)
+    # free[j]: tuple j is searched and unassigned.  A free-standing tuple,
+    # the only holder of each of its bindings, is never searched: no row of
+    # it narrows a domain or is narrowed.
+    free = [False] * len(domains)
+    for h in holders:
+        for js in h.values():
+            if len(js) > 1:
+                for j in js:
+                    free[j] = True
+    alone = [rows[0] for rows, searched in zip(valuations, free) if not searched]
+    depth = len(domains) - len(alone)
     # (max(len(domain), 1), index) for every free tuple, plus stale entries
     # that `branch` skips.  Sizes 0 and 1 share a key, so the first tuple
     # with at most one row comes out first, as a scan in index order finds it.
-    heap = [(len(rows) or 1, j) for j, rows in enumerate(domains)]
+    heap = [(len(rows) or 1, j) for j, rows in enumerate(domains) if free[j]]
     heapq.heapify(heap)
     attempts = 0
     # Per FD: binding -> the rhs values allowed by every tuple whose
@@ -411,7 +426,7 @@ def check_seamless(
     # One frame per branched tuple: [tuple index, its untried rows, its
     # current row, that row's undo log]; a fresh frame has no row, an empty log.
     stack = []
-    while len(stack) < len(domains):
+    while len(stack) < depth:
         node = branch()
         if node is not None:
             free[node] = False
@@ -431,7 +446,10 @@ def check_seamless(
         if attempts > budget:
             raise ValuationBudgetExceeded(budget)
         frame[2:] = row, push(row)
-    return _world(table.schema, [frame[2] for frame in stack])
+    attempts += len(alone)  # a step each, charged only once a world is found
+    if attempts > budget:
+        raise ValuationBudgetExceeded(budget)
+    return _world(table.schema, [frame[2] for frame in stack] + alone)
 
 
 # ---------------------------------------------------------------------------

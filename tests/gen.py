@@ -100,3 +100,15 @@ def unique_lhs_vague_table(rng: random.Random, n: int):
     and X = x{i//3}."""
     rows = [(f"x{i // 3}", frozenset(rng.sample(VALUES, rng.randint(1, 2))), f"z{i}") for i in range(n)]
     return Table.vague(["X", "Y", "Z"], rows), FunctionalDependency({"Z"}, {"Y"})
+
+
+def paired_lhs_vague_table(rng: random.Random, n: int):
+    """n vague tuples over X, Y, Z and the FD Z -> Y, in pairs that share
+    their Z value and one single Y value: every tuple shares a binding with
+    its partner, so the search branches on it, yet no row narrows another.
+    X holds 1-2 values of the tuple's own."""
+    ys = [rng.choice(VALUES) for _ in range(0, n, 2)]
+    rows = [
+        (frozenset(f"x{i}_{k}" for k in range(rng.randint(1, 2))), ys[i // 2], f"z{i // 2}") for i in range(n)
+    ]
+    return Table.vague(["X", "Y", "Z"], rows), FunctionalDependency({"Z"}, {"Y"})

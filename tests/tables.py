@@ -110,3 +110,29 @@ ONE_PASS_TRAP = Table.vague(["A", "B", "C"], [
     ({"a2", "a9"}, {"b1", "b2"}, "c1"),
 ])
 ONE_PASS_FDS = [AB, CB]
+
+# Vague, A->B: no seamless world.  The tuple with A = r shares no binding, so
+# it stands outside the search (least budget 7); a search that branched on it
+# tried it again at every dead end above it (least budget 15).
+FREE_STANDING_RETRY = Table.vague(["A", "B", "C"], [
+    ("q", {"q", "r"}, {"p", "q"}),
+    ("r", "p", {"p", "r"}),
+    ({"p", "q"}, "p", {"p", "q"}),
+    ("q", {"p", "q"}, {"q", "r"}),
+    ("p", {"p", "q"}, {"p", "r"}),
+    ("p", {"q", "r"}, {"p", "r"}),
+    ("q", {"p", "q"}, {"p", "q"}),
+])
+
+# Vague, A->B: no seamless world, and the search dead-ends within 4 steps,
+# before it would branch on the free-standing tuple (A = r).  Charging that
+# tuple's step before the search would raise at budget 4.
+EARLY_DEAD_END = Table.vague(["A", "B", "C"], [
+    ("q", "r", "p"),
+    ("p", "p", "r"),
+    ("r", {"q", "r"}, {"p", "r"}),
+    ("q", {"q", "r"}, {"q", "r"}),
+    ({"p", "q"}, "p", "p"),
+    ({"p", "q"}, {"p", "q"}, "q"),
+    ("q", {"p", "q"}, "q"),
+])

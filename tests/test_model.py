@@ -24,6 +24,8 @@ from fdlab import (
     to_disjunctive_tuple,
 )
 
+from fdlab.model import _world
+
 from gen import rand_disjunctive_table, rand_standard_table, rand_vague_table
 from tables import TRANSITIVITY_TRAP, NO_JOINT_WORLD
 
@@ -166,6 +168,23 @@ class TestWorlds:
 
     def test_no_joint_world_table_has_four_worlds(self):
         assert len(enumerate_worlds(NO_JOINT_WORLD)) == 4
+
+    def test_world_from_raw_rows_is_the_standard_table(self):
+        # `_world` sorts the raw rows itself instead of going through
+        # `Table.__init__`: same table, same hash, same tuple order.
+        rng = random.Random(15)
+        schema = Schema(["A", "B", "C"])
+        cases = [[]]
+        for _ in range(200):
+            rows = [tuple(rng.choice("pqr") for _ in schema) for _ in range(rng.randint(1, 12))]
+            rows += rng.choices(rows, k=rng.randint(1, 4))
+            rng.shuffle(rows)
+            cases.append(rows)
+        for rows in cases:
+            world = _world(schema, rows)
+            table = Table(schema, Model.STANDARD, [StandardTuple(schema, r) for r in rows])
+            assert world == table and hash(world) == hash(table)
+            assert world.tuples == table.tuples and world.model is Model.STANDARD
 
 
 class TestConversions:

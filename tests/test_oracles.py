@@ -27,6 +27,7 @@ from fdlab.semantics import (
 )
 
 import oracles as O
+import tables as T
 from gen import (
     VALUES, rand_3dm_instance, rand_disjunctive_table, rand_fd, rand_fd_set, rand_standard_table, rand_vague_table,
 )
@@ -278,8 +279,11 @@ PINNED_STEPS = {
     0: 6, 1: 14, 2: 6, 8: 35, 13: 30, 17: 27, 18: 23, 19: 8, 21: 8, 22: 27, 23: 35, 25: 38, 26: 25, 28: 6,
     29: 24, 30: 40, 32: 36, 33: 40, 34: 6, 35: 25, 36: 22, 37: 5, 38: 11, 39: 36, 40: 22, 43: 35, 44: 27,
     45: 12, 46: 4, 47: 26, 48: 6, 50: 35, 51: 22, 54: 31, 56: 9, 59: 35, 61: 35, 66: 32, 67: 33, 68: 29,
-    69: 16, 70: 5,
+    69: 15, 70: 5,
 }
+# Pins that fell once free-standing tuples left the search, at their earlier
+# value: the step count can only fall, so each stays an upper bound.
+STEPS_WITH_FREE_STANDING_SEARCHED = {69: 16}
 
 
 def test_search_steps_are_pinned_above_the_valuation_floor():
@@ -288,7 +292,24 @@ def test_search_steps_are_pinned_above_the_valuation_floor():
         if k in PINNED_STEPS:
             assert PINNED_STEPS[k] > max(t.valuation_count() for t in table.tuples)
             pinned[k] = _least_budget(table, fds)
+    assert all(pinned[k] <= old for k, old in STEPS_WITH_FREE_STANDING_SEARCHED.items())
     assert pinned == PINNED_STEPS
+
+
+def test_free_standing_tuples_are_not_searched():
+    # The free-standing tuple is not tried again at each dead end above it;
+    # 15, the least budget of a search that branched on it, is an upper bound.
+    table, fds = T.FREE_STANDING_RETRY, [T.AB]
+    assert check_seamless(table, fds) is None
+    budget = _least_budget(table, fds)
+    assert budget <= 15
+    assert budget == 7
+
+
+def test_free_standing_steps_are_charged_once_a_world_is_found():
+    # The search dead-ends within 4 steps without reaching the free-standing
+    # tuple, so its step is never charged.
+    assert check_seamless(T.EARLY_DEAD_END, [T.AB], budget=4) is None
 
 
 def _flood_cases(rng, count=300, max_tuples=8):

@@ -39,7 +39,10 @@ from fdlab.semantics import find_pfd_violation, find_vertical_violation
 import tables as T
 from oracles import check_pfd_decomposed
 from tables import fd
-from gen import grouped_vague_table, rand_disjunctive_table, rand_fd, rand_vague_table, unique_lhs_vague_table
+from gen import (
+    grouped_vague_table, paired_lhs_vague_table, rand_disjunctive_table, rand_fd, rand_vague_table,
+    unique_lhs_vague_table,
+)
 
 
 def counting_binder(monkeypatch):
@@ -191,9 +194,17 @@ class TestSeamless:
         assert_world_satisfying(w, r, fds)
 
     def test_weak_without_narrowing_branches_in_log_time(self):
-        # 30,000 tuples, each the only holder of its lhs binding: reading
-        # every unassigned tuple's domain size at every node takes ~30 s.
+        # 30,000 tuples, each the only holder of its lhs binding, so each is
+        # free-standing and takes its least valuation outside the search.
         r, f = unique_lhs_vague_table(random.Random(1), 30_000)
+        start = time.perf_counter()
+        assert check_weak(r, f)
+        assert time.perf_counter() - start < 5
+
+    def test_weak_with_linked_tuples_branches_in_log_time(self):
+        # 30,000 tuples in pairs sharing a binding: unlike the unique-lhs
+        # table, every tuple goes through the heap, yet none narrows another.
+        r, f = paired_lhs_vague_table(random.Random(1), 30_000)
         start = time.perf_counter()
         assert check_weak(r, f)
         assert time.perf_counter() - start < 5
