@@ -92,6 +92,17 @@ def test_seamless_steps_and_closure_names(fdlab):
     assert fdlab("closure", "--fds", "tests/data/chain.fds", "--attrs", "").returncode == 2
 
 
+def test_weak_cap_counts_valuations_not_free_standing_tuples(fdlab, tmp_path):
+    # Distinct A values: each tuple is free-standing and takes its least
+    # valuation outside the search, so the cap bounds only the two valuations.
+    table, fds = tmp_path / "distinct.vtab", tmp_path / "ab.fds"
+    table.write_text("A,B\na1,{b1|b2}\na2,{b1|b2}\na3,b1\n")
+    fds.write_text("A -> B\n")
+    argv = ["check", "--table", str(table), "--fds", str(fds), "--semantics", "weak"]
+    assert fdlab(*argv, "--cap", "2").returncode == 0
+    assert fdlab(*argv, "--cap", "1").returncode == 2
+
+
 def test_verdict_labels_and_comment_like_values(fdlab, tmp_path):
     argv = ["check", "--table", "tests/data/transitivity_trap.vtab", "--fds", "tests/data/chain.fds", "--format", "json"]
     proc = fdlab(*argv, "--semantics", "weak")

@@ -310,17 +310,16 @@ def check_seamless(
     choices so far: a row that opens a new lhs binding re-filters only that
     binding's unassigned holders (forward checking over a `binding -> tuples`
     index), and backtracking undoes each frame's own row.  The smallest domain
-    is branched on (fail-first, the lowest index on ties), and an empty one
-    is a dead end; a lazy heap keyed by (domain size, at least 1; index)
-    finds it.  After the first dead end, a row is no longer tried when it
-    gives a binding an rhs value that a tuple with that single lhs binding
-    cannot take.  A free-standing tuple, one that shares no lhs binding with
-    another tuple under any FD, is in no conflict: it takes its least
-    valuation outside the search, the row the search would end with, at one
-    step that is charged only once a world is found.  Raises
-    ValuationBudgetExceeded before the search if a tuple has more than
-    `budget` valuations, and after `budget` steps: candidate extensions,
-    then free-standing tuples.  Cost: linear in the valuations of
+    is branched on (fail-first, the lowest index on ties), so an empty one,
+    a dead end, is met as soon as it appears; a lazy heap keyed by (domain
+    size, index) finds it.  After the first dead end, a row is no longer tried
+    when it gives a binding an rhs value that a tuple with that single lhs
+    binding cannot take.  A free-standing tuple, one that shares no lhs
+    binding with another tuple under any FD, is in no conflict: it takes its
+    least valuation outside the search, the row the search would end with.
+    Raises ValuationBudgetExceeded before the search if a tuple has more than
+    `budget` valuations, and once the search tries more than `budget` rows;
+    free-standing tuples try none.  Cost: linear in the valuations of
     free-standing tuples; exponential in the others in the worst case (the
     problem is NP-complete); without backtracking, each new binding filters
     its holders once per FD, and each node costs O(log n) heap work per
@@ -333,26 +332,22 @@ def check_seamless(
     domains = valuations.copy()  # lists are replaced, never changed in place
     # Per FD: binding -> the tuples with a valuation carrying it.  The entry
     # of a binding that a chosen row opened is away, in that row's undo log.
-    holders = [dict() for _ in fds]
-    for j, rows in enumerate(valuations):
-        for h, (xg, _) in zip(holders, getters):
-            for key in set(map(xg, rows)):
-                h.setdefault(key, []).append(j)
     # free[j]: tuple j is searched and unassigned.  A free-standing tuple,
     # the only holder of each of its bindings, is never searched: no row of
     # it narrows a domain or is narrowed.
+    holders = [dict() for _ in fds]
     free = [False] * len(domains)
-    for h in holders:
-        for js in h.values():
-            if len(js) > 1:
-                for j in js:
-                    free[j] = True
+    for j, rows in enumerate(valuations):
+        for h, (xg, _) in zip(holders, getters):
+            for key in set(map(xg, rows)):
+                js = h.setdefault(key, [])
+                if js:
+                    free[js[0]] = free[j] = True
+                js.append(j)
     alone = [rows[0] for rows, searched in zip(valuations, free) if not searched]
     depth = len(domains) - len(alone)
-    # (max(len(domain), 1), index) for every free tuple, plus stale entries
-    # that `branch` skips.  Sizes 0 and 1 share a key, so the first tuple
-    # with at most one row comes out first, as a scan in index order finds it.
-    heap = [(len(rows) or 1, j) for j, rows in enumerate(domains) if free[j]]
+    # (len(domain), index) for every free tuple, plus stale entries that `branch` skips.
+    heap = [(len(rows), j) for j, rows in enumerate(domains) if free[j]]
     heapq.heapify(heap)
     attempts = 0
     # Per FD: binding -> the rhs values allowed by every tuple whose
@@ -397,7 +392,7 @@ def check_seamless(
                     if len(kept) < len(domains[j]):
                         log.append((domains, j, domains[j]))
                         domains[j] = kept
-                        heapq.heappush(heap, (len(kept) or 1, j))
+                        heapq.heappush(heap, (len(kept), j))
         return log
 
     def undo(log):
@@ -405,16 +400,16 @@ def check_seamless(
         for container, key, old in reversed(log):
             container[key] = old
             if container is domains:
-                heapq.heappush(heap, (len(old) or 1, key))
+                heapq.heappush(heap, (len(old), key))
 
     def branch():
         """The tuple index to branch on, or None at a dead end."""
         if len(heap) > 4 * len(domains):  # keep a long search's heap O(n)
-            heap[:] = [(len(rows) or 1, j) for j, rows in enumerate(domains) if free[j]]
+            heap[:] = [(len(rows), j) for j, rows in enumerate(domains) if free[j]]
             heapq.heapify(heap)
         while True:
             size, i = heap[0]
-            if free[i] and size == (len(domains[i]) or 1):
+            if free[i] and size == len(domains[i]):
                 break
             heapq.heappop(heap)
         if domains[i]:
@@ -439,16 +434,13 @@ def check_seamless(
                 break
             i = stack.pop()[0]
             free[i] = True
-            heapq.heappush(heap, (len(domains[i]) or 1, i))
+            heapq.heappush(heap, (len(domains[i]), i))
         else:
             return None
         attempts += 1
         if attempts > budget:
             raise ValuationBudgetExceeded(budget)
         frame[2:] = row, push(row)
-    attempts += len(alone)  # a step each, charged only once a world is found
-    if attempts > budget:
-        raise ValuationBudgetExceeded(budget)
     return _world(table.schema, [frame[2] for frame in stack] + alone)
 
 

@@ -112,8 +112,8 @@ ONE_PASS_TRAP = Table.vague(["A", "B", "C"], [
 ONE_PASS_FDS = [AB, CB]
 
 # Vague, A->B: no seamless world.  The tuple with A = r shares no binding, so
-# it stands outside the search (least budget 7); a search that branched on it
-# tried it again at every dead end above it (least budget 15).
+# it stands outside the search, which tries 7 rows (least budget 7); a search
+# that branched on it tried it again at every dead end above it (least budget 15).
 FREE_STANDING_RETRY = Table.vague(["A", "B", "C"], [
     ("q", {"q", "r"}, {"p", "q"}),
     ("r", "p", {"p", "r"}),
@@ -124,9 +124,9 @@ FREE_STANDING_RETRY = Table.vague(["A", "B", "C"], [
     ("q", {"p", "q"}, {"p", "q"}),
 ])
 
-# Vague, A->B: no seamless world, and the search dead-ends within 4 steps,
-# before it would branch on the free-standing tuple (A = r).  Charging that
-# tuple's step before the search would raise at budget 4.
+# Vague, A->B: no seamless world.  The search dead-ends after 2 rows, before
+# it would reach the free-standing tuple (A = r), which tries no row; the
+# least budget is 4, the valuation floor.
 EARLY_DEAD_END = Table.vague(["A", "B", "C"], [
     ("q", "r", "p"),
     ("p", "p", "r"),
@@ -136,3 +136,9 @@ EARLY_DEAD_END = Table.vague(["A", "B", "C"], [
     ({"p", "q"}, {"p", "q"}, "q"),
     ("q", {"p", "q"}, "q"),
 ])
+
+# Vague, {} -> A: every tuple takes one value, b.  Tuple 0's first row, a,
+# empties tuple 2's domain.  A heap key that tied sizes 0 and 1 branched on
+# tuple 1 before that dead end (least budget 5); keyed by the plain size, the
+# empty domain is branched on at once (least budget 4).
+EMPTY_DOMAIN_FIRST = Table.vague(["A"], [({"a", "b"},), ({"a", "b", "c"},), ({"b", "c"},)])

@@ -30,6 +30,7 @@ import oracles as O
 import tables as T
 from gen import (
     VALUES, rand_3dm_instance, rand_disjunctive_table, rand_fd, rand_fd_set, rand_standard_table, rand_vague_table,
+    unique_lhs_vague_table,
 )
 
 GENERATORS = (rand_standard_table, rand_vague_table, rand_disjunctive_table)
@@ -242,7 +243,13 @@ PINNED_3DM = [
 ]
 # Least budgets of seeded vague and disjunctive tables, seed 21; most lie
 # above the valuation floor, so they count the search's steps.
-PINNED_BUDGETS = [7, 4, 4, 4, 6, 2, 3, 3, 3, 6, 9, 3, 6, 3, 24, 4, 4, 1, 9, 3, 18, 3, 6, 4, 6, 3, 18, 6, 6, 5, 4, 3, 6, 3, 4, 5, 3, 2, 4, 3]
+PINNED_BUDGETS = [7, 4, 4, 4, 6, 2, 3, 3, 3, 2, 9, 3, 6, 2, 24, 3, 4, 1, 9, 3, 18, 3, 6, 4, 6, 3, 18, 3, 6, 3, 4, 2, 6, 3, 4, 3, 3, 2, 4, 3]
+# The same budgets under a search that charged each free-standing tuple a
+# step and let an empty domain wait behind single-row tuples.  The step count
+# can only fall, so each stays an upper bound.
+BUDGETS_WITH_FREE_STANDING_CHARGED = [
+    7, 4, 4, 4, 6, 2, 3, 3, 3, 6, 9, 3, 6, 3, 24, 4, 4, 1, 9, 3, 18, 3, 6, 4, 6, 3, 18, 6, 6, 5, 4, 3, 6, 3, 4, 5, 3, 2, 4, 3,
+]
 
 
 def test_search_worlds_and_steps_are_pinned():
@@ -257,6 +264,7 @@ def test_search_worlds_and_steps_are_pinned():
     for k in range(40):
         table = GENERATORS[1 + k % 2](rng, max_attrs=4, max_tuples=10)
         budgets.append(_least_budget(table, rand_fd_set(rng, table.schema.attributes, max_fds=4)))
+    assert all(b <= old for b, old in zip(budgets, BUDGETS_WITH_FREE_STANDING_CHARGED))
     assert budgets == PINNED_BUDGETS
 
 
@@ -271,29 +279,36 @@ def _step_cases(rng, count):
         yield k, table, rand_fd_set(rng, table.schema.attributes, max_fds=4)
 
 
-# Least budgets of `_step_cases(Random(23), 72)` by index, computed with the
-# search that kept a binding refcount map and a trail.  A case whose least
-# budget was the valuation floor (every row of the first branched tuple
-# dead-ends at once) is left out, since the floor hides its step count.
+# Least budgets of `_step_cases(Random(23), 200)` by index, for every case
+# above the valuation floor.  Every other case is at the floor (every row of
+# the first branched tuple dead-ends at once), which hides its step count.
 PINNED_STEPS = {
+    13: 27, 18: 23, 29: 24, 32: 36, 35: 25, 36: 22, 40: 22, 50: 35, 51: 22, 54: 20, 61: 35, 66: 32, 68: 29,
+    77: 17, 79: 25, 84: 27, 94: 25, 95: 23, 111: 24, 130: 30, 131: 24, 142: 25, 155: 4, 159: 23, 161: 24,
+    164: 25, 166: 20, 171: 25, 176: 31, 181: 4, 187: 29,
+}
+# Earlier pins of the first 72 cases: under a search that charged each
+# free-standing tuple a step and let an empty domain wait behind single-row
+# tuples, and, for case 69, under one that branched on free-standing tuples.
+# The step count can only fall, so each stays an upper bound.
+STEPS_WITH_FREE_STANDING_CHARGED = {
     0: 6, 1: 14, 2: 6, 8: 35, 13: 30, 17: 27, 18: 23, 19: 8, 21: 8, 22: 27, 23: 35, 25: 38, 26: 25, 28: 6,
     29: 24, 30: 40, 32: 36, 33: 40, 34: 6, 35: 25, 36: 22, 37: 5, 38: 11, 39: 36, 40: 22, 43: 35, 44: 27,
     45: 12, 46: 4, 47: 26, 48: 6, 50: 35, 51: 22, 54: 31, 56: 9, 59: 35, 61: 35, 66: 32, 67: 33, 68: 29,
     69: 15, 70: 5,
 }
-# Pins that fell once free-standing tuples left the search, at their earlier
-# value: the step count can only fall, so each stays an upper bound.
 STEPS_WITH_FREE_STANDING_SEARCHED = {69: 16}
 
 
 def test_search_steps_are_pinned_above_the_valuation_floor():
-    pinned = {}
-    for k, table, fds in _step_cases(random.Random(23), 72):
-        if k in PINNED_STEPS:
-            assert PINNED_STEPS[k] > max(t.valuation_count() for t in table.tuples)
-            pinned[k] = _least_budget(table, fds)
-    assert all(pinned[k] <= old for k, old in STEPS_WITH_FREE_STANDING_SEARCHED.items())
-    assert pinned == PINNED_STEPS
+    above, budgets = {}, {}
+    for k, table, fds in _step_cases(random.Random(23), 200):
+        budgets[k] = _least_budget(table, fds)
+        if budgets[k] > max(t.valuation_count() for t in table.tuples):
+            above[k] = budgets[k]
+    for bounds in (STEPS_WITH_FREE_STANDING_CHARGED, STEPS_WITH_FREE_STANDING_SEARCHED):
+        assert all(budgets[k] <= old for k, old in bounds.items())
+    assert above == PINNED_STEPS
 
 
 def test_free_standing_tuples_are_not_searched():
@@ -306,10 +321,26 @@ def test_free_standing_tuples_are_not_searched():
     assert budget == 7
 
 
-def test_free_standing_steps_are_charged_once_a_world_is_found():
-    # The search dead-ends within 4 steps without reaching the free-standing
-    # tuple, so its step is never charged.
+def test_free_standing_tuples_take_no_steps():
+    # Every tuple is free-standing, so weak holds at budget 2, the largest
+    # tuple's valuation count; a search that charged each a step needed 10,000.
+    table, f = unique_lhs_vague_table(random.Random(1), 10_000)
+    assert check_weak(table, f, 2)
+    with pytest.raises(ValuationBudgetExceeded):
+        check_weak(table, f, 1)
+    # The search dead-ends before it would reach the free-standing tuple.
+    assert _least_budget(T.EARLY_DEAD_END, [T.AB]) == 4
     assert check_seamless(T.EARLY_DEAD_END, [T.AB], budget=4) is None
+
+
+def test_an_empty_domain_is_a_dead_end_at_once():
+    # 5, the least budget of a search that branched on a single-row tuple
+    # before an empty domain, is an upper bound.
+    table, fds = T.EMPTY_DOMAIN_FIRST, [T.fd("", "A")]
+    assert check_seamless(table, fds) == Table.standard(["A"], [("b",)])
+    budget = _least_budget(table, fds)
+    assert budget <= 5
+    assert budget == 4
 
 
 def _flood_cases(rng, count=300, max_tuples=8):
