@@ -118,3 +118,18 @@ def test_verdict_labels_and_comment_like_values(fdlab, tmp_path):
     proc = fdlab("valuate", "--table", str(table), "--fds", str(fds), "--seed", "1")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def test_unknown_attributes_fail_before_any_fd_is_checked(fdlab, tmp_path):
+    # The FD naming an unknown attribute comes second, behind one that fails
+    # the pfd precondition (valuate) or exhausts the budget (weak, cap 1).
+    table, fds = tmp_path / "ab.stab", tmp_path / "bad.fds"
+    table.write_text("A,B\na1,b1\na1,b2\n")
+    fds.write_text("A -> B\nC -> D\n")
+    proc = fdlab("valuate", "--table", str(table), "--fds", str(fds))
+    assert proc.returncode == 2
+    assert "unknown attributes ['C']" in proc.stderr
+    proc = fdlab("check", "--table", "tests/data/resemblance_trap.vtab", "--fds", "tests/data/independent_pairs.fds",
+                 "--semantics", "weak", "--cap", "1")
+    assert proc.returncode == 2
+    assert "unknown attributes ['D']" in proc.stderr

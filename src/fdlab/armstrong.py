@@ -10,7 +10,7 @@ The three inference rules are the classical ones:
 (Beeri & Bernstein 1979), linear in total FD size up to a heap's log factor.
 `derive` emits proofs in a fixed phase order (base citations, one reflexivity
 step, augmentations, transitivities) so golden tests stay stable, and
-`check_derivation` replays them step by step.
+`check_derivation` replays them in place, in membership tests linear in proof size.
 """
 
 from __future__ import annotations
@@ -42,12 +42,14 @@ def _firings(fds: Iterable[FunctionalDependency], attrs: Iterable[str]) -> tuple
     """
     base = _sorted_fds(fds)
     closure = set(attrs)
-    missing = [len(f.lhs - closure) for f in base]
-    waiting = {}
+    missing, waiting, ready = [0] * len(base), {}, []
     for i, f in enumerate(base):
-        for a in f.lhs - closure:
-            waiting.setdefault(a, []).append(i)
-    ready = [i for i, m in enumerate(missing) if not m]  # ascending, so a heap
+        for a in f.lhs:
+            if a not in closure:
+                missing[i] += 1
+                waiting.setdefault(a, []).append(i)
+        if not missing[i]:
+            ready.append(i)  # ascending, so a heap
     fired = []
     while ready:
         f = base[heapq.heappop(ready)]
@@ -140,8 +142,12 @@ def derive(fds: Iterable[FunctionalDependency], fd: FunctionalDependency) -> Opt
     return Derivation(fd, tuple(steps))
 
 
+def _is_union(c: frozenset, p: frozenset, z) -> bool:
+    return len(c) == len(z) + len(p - z) and (z is c or z <= c) and p <= c
+
+
 def check_derivation(fds: Iterable[FunctionalDependency], derivation: Derivation) -> bool:
-    """Validate every step against the base set and earlier conclusions."""
+    """Validate every step in place against the base set and earlier conclusions."""
     base = set(fds)
     seen = []
     for step in derivation.steps:
@@ -149,26 +155,26 @@ def check_derivation(fds: Iterable[FunctionalDependency], derivation: Derivation
             raise ValueError(f"unknown rule {step.rule!r}")
         if any(not isinstance(p, int) or p < 0 or p >= len(seen) for p in step.premises):
             return False
+        c = step.conclusion
         if step.rule == GIVEN:
-            if step.premises or step.conclusion not in base:
+            if step.premises or c not in base:
                 return False
         elif step.rule == REFLEXIVITY:
-            if step.premises or not step.conclusion.rhs <= step.conclusion.lhs:
+            if step.premises or not c.rhs <= c.lhs:
                 return False
         elif step.rule == AUGMENTATION:
             if len(step.premises) != 1:
                 return False
-            p = seen[step.premises[0]]
-            want = FunctionalDependency(p.lhs | step.augment_with, p.rhs | step.augment_with)
-            if step.conclusion != want:
+            p, z = seen[step.premises[0]], step.augment_with
+            p.lhs - z  # a z that is no set raises TypeError here, as p.lhs | z would
+            if type(c) is not FunctionalDependency or not (_is_union(c.lhs, p.lhs, z) and _is_union(c.rhs, p.rhs, z)):
                 return False
-        else:  # transitivity
+        else:  # transitivity; derive shares each side between the steps it links
             if len(step.premises) != 2:
                 return False
             p1, p2 = (seen[i] for i in step.premises)
-            if p1.rhs != p2.lhs:
+            if not ((p1.rhs is p2.lhs or p1.rhs == p2.lhs) and type(c) is FunctionalDependency
+                    and (c.lhs is p1.lhs or c.lhs == p1.lhs) and (c.rhs is p2.rhs or c.rhs == p2.rhs)):
                 return False
-            if step.conclusion != FunctionalDependency(p1.lhs, p2.rhs):
-                return False
-        seen.append(step.conclusion)
+        seen.append(c)
     return bool(seen) and seen[-1] == derivation.conclusion

@@ -705,6 +705,8 @@ def check(
     violation with their `_FINDERS` entry."""
     semantics = Semantics(semantics)
     fds = (fds,) if isinstance(fds, FunctionalDependency) else tuple(fds)
+    for fd in fds:  # an unknown attribute fails alike whatever the semantics, the cap and the FD order
+        _fd_positions(table.schema, fd)
     start = time.perf_counter()
     report = CheckReport(table.model, semantics)
     for group in [fds] if semantics is Semantics.SEAMLESS else [(fd,) for fd in fds]:

@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 from .errors import ModelError, ParseError, PfdPreconditionError, ReductionError
 from .model import Memo, Model, Schema, Table, VagueTuple, _world, check_value
-from .semantics import FunctionalDependency, check_pfd
+from .semantics import FunctionalDependency, _fd_positions, check_pfd
 
 DEFAULT_SEED = 0
 
@@ -45,6 +45,8 @@ def seamless_valuation_rows(
     if table.model is Model.DISJUNCTIVE:
         raise ModelError("the valuation algorithm is defined for vague tables")
     fds = list(fds)
+    for fd in fds:  # an unknown attribute fails alike whatever the FD order
+        _fd_positions(table.schema, fd)
     for fd in fds:
         if not check_pfd(table, fd):
             raise PfdPreconditionError(fd)

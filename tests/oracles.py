@@ -5,7 +5,8 @@ canonical order, identity pairs included, and every shared lhs binding; or,
 for strong and weak, every possible world.  The library's pairwise finders
 must return the same `Violation` (reason, pair, binding, note) while doing
 linear or hoisted work; strong and weak must return the same verdicts.  The
-closure oracles repeat full passes over the FD list.  The worklist flood
+closure oracles repeat full passes over the FD list, and the proof checker
+rebuilds each rule's conclusion and compares it whole.  The worklist flood
 grows each valuation group by pairwise cell intersections, and the one-sweep
 flood shows why the valuation flood must take whole components.
 """
@@ -18,7 +19,7 @@ from fdlab import (
     ValuationBudgetExceeded, resemblance,
 )
 from fdlab.armstrong import (
-    AUGMENTATION, GIVEN, REFLEXIVITY, TRANSITIVITY, Derivation, DerivationStep, _sorted_fds,
+    _RULES, AUGMENTATION, GIVEN, REFLEXIVITY, TRANSITIVITY, Derivation, DerivationStep, _sorted_fds,
 )
 from fdlab.model import to_disjunctive
 from fdlab.semantics import DEFAULT_VALUATION_CAP, MAX_RESEMBLANCE, Violation, _require_within
@@ -328,6 +329,43 @@ def derive(fds, fd):
         chain = len(steps) - 1
     steps.append(DerivationStep(TRANSITIVITY, FunctionalDependency(fd.lhs, fd.rhs), (chain, k)))
     return Derivation(fd, tuple(steps))
+
+
+def check_derivation(fds, derivation) -> bool:
+    """Replay each step by building the conclusion its rule gives and
+    comparing it with the step's own (an FD of another class never equals
+    it); `check_derivation` must give the same verdict, or raise the same
+    exception type, without building them."""
+    base = set(fds)
+    seen = []
+    for step in derivation.steps:
+        if step.rule not in _RULES:
+            raise ValueError(f"unknown rule {step.rule!r}")
+        if any(not isinstance(p, int) or p < 0 or p >= len(seen) for p in step.premises):
+            return False
+        if step.rule == GIVEN:
+            if step.premises or step.conclusion not in base:
+                return False
+        elif step.rule == REFLEXIVITY:
+            if step.premises or not step.conclusion.rhs <= step.conclusion.lhs:
+                return False
+        elif step.rule == AUGMENTATION:
+            if len(step.premises) != 1:
+                return False
+            p = seen[step.premises[0]]
+            want = FunctionalDependency(p.lhs | step.augment_with, p.rhs | step.augment_with)
+            if step.conclusion != want:
+                return False
+        else:  # transitivity
+            if len(step.premises) != 2:
+                return False
+            p1, p2 = (seen[i] for i in step.premises)
+            if p1.rhs != p2.lhs:
+                return False
+            if step.conclusion != FunctionalDependency(p1.lhs, p2.rhs):
+                return False
+        seen.append(step.conclusion)
+    return bool(seen) and seen[-1] == derivation.conclusion
 
 
 def one_pass_valuation_rows(table, fds, seed=DEFAULT_SEED):

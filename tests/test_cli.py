@@ -189,6 +189,20 @@ class TestCliCheck:
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: checker bug" in err
 
+    @pytest.mark.parametrize("argv, unknown", [
+        # A -> B fails the pfd precondition; C -> D names no attribute of the table.
+        (["valuate", "--table", "ab.stab", "--fds", "bad.fds"], "['C']"),
+        # A -> B exhausts the budget of 1 (a tuple with 2 valuations); the table has no D.
+        (["check", "--table", str(DATA / "resemblance_trap.vtab"), "--fds", str(DATA / "independent_pairs.fds"),
+          "--semantics", "weak", "--cap", "1"], "['D']"),
+    ], ids=["valuate", "weak-cap-1"])
+    def test_unknown_attributes_fail_before_any_fd_is_checked(self, argv, unknown, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ab.stab").write_text("A,B\na1,b1\na1,b2\n")
+        (tmp_path / "bad.fds").write_text("A -> B\nC -> D\n")
+        assert run_cli(*argv) == 2
+        assert f"unknown attributes {unknown}" in capsys.readouterr().err
+
     def test_inapplicable_semantics_exits_two(self):
         assert run_cli(
             "check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(DATA / "chain.fds"),

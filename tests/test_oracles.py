@@ -5,17 +5,20 @@ counts pinned from the full-scan search), the component valuation
 flood returns the worklist flood's rows, and the linear closure gives the
 pass loop's closures and the restart-from-the-top derivations."""
 
+import collections
 import itertools
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from fdlab import (
-    FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, attribute_closure,
-    check_pfd, check_seamless, check_weak, derive, generate_3dm_reduction, implies, parse_fds, parse_table,
-    seamless_valuation_rows, select,
+    Derivation, FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, attribute_closure,
+    check_derivation, check_pfd, check_seamless, check_weak, derive, generate_3dm_reduction, implies, parse_fds,
+    parse_table, seamless_valuation_rows, select,
 )
+from fdlab.armstrong import AUGMENTATION
 from fdlab.semantics import (
     _binder,
     _fd_positions,
@@ -216,9 +219,10 @@ def _least_budget(table, fds):
 
 
 # Computed with the search that read every unassigned domain at every node.
-# (n, least budget, world) of 3DM reductions, seed 11.  Here the
-# search takes fewer steps than the largest tuple has valuations, so the
-# budgets are that floor and the worlds carry the pin.
+# (n, least budget, world) of 3DM reductions, seed 11.  In all cases but the
+# fourth (n = 3, budget 10 against a floor of 9) the search takes fewer steps
+# than the largest tuple has valuations, so the budget is that floor and the
+# world carries the pin; the fourth also counts the search's steps.
 PINNED_3DM = [
     (2, 16, 'x0,y1,z1,t2; x1,y0,z0,t3'),
     (2, 8, 'x0,y1,z1,t3; x1,y0,z0,t2'),
@@ -254,11 +258,16 @@ BUDGETS_WITH_FREE_STANDING_CHARGED = [
 
 def test_search_worlds_and_steps_are_pinned():
     rng = random.Random(11)
-    for n, budget, world in PINNED_3DM:
+    above_floor = []
+    for k, (n, budget, world) in enumerate(PINNED_3DM):
         out = generate_3dm_reduction(rand_3dm_instance(rng, n))
         found = check_seamless(out.table, out.fds)
         assert (None if found is None else "; ".join(t.render() for t in found.tuples)) == world
         assert _least_budget(out.table, out.fds) == budget
+        floor = max(t.valuation_count() for t in out.table.tuples)
+        if budget != floor:
+            above_floor.append((k, budget, floor))
+    assert above_floor == [(3, 10, 9)]
     rng = random.Random(21)
     budgets = []
     for k in range(40):
@@ -462,3 +471,85 @@ def test_closure_implies_and_derive_follow_the_pass_loop():
         assert derive(fds, target) == want
         proofs += want is not None and len(want.steps) > 4
     assert proofs > 500
+
+
+class _SubclassFD(FunctionalDependency):
+    """Sides like any FD's, but never equal to a `FunctionalDependency`."""
+
+
+def _proof_mutants(rng, d, attrs):
+    """`d` itself, then one single-fault edit of it per kind, each at a
+    seeded step of the steps that kind can change: (kind, derivation)."""
+    steps = list(d.steps)
+    everywhere = range(len(steps))
+    cited = [i for i in everywhere if steps[i].premises] or everywhere
+    augmented = [i for i in everywhere if steps[i].rule == AUGMENTATION] or everywhere
+
+    def flip(side):  # drop one attribute, add one, or swap one for another
+        move = rng.choice(("drop", "add", "swap") if side else ("add",))
+        out = side - {rng.choice(sorted(side))} if move != "add" else side
+        return out | {rng.choice(sorted(set(attrs) - side) or ["Z"])} if move != "drop" else out
+
+    def repoint(premises, to):  # one premise pointed at step `to`
+        ps = list(premises)
+        if ps:
+            ps[rng.randrange(len(ps))] = to
+        return tuple(ps)
+
+    fd = FunctionalDependency
+    kinds = {
+        "conclusion lhs": (everywhere, lambda i, st: dict(conclusion=fd(flip(st.conclusion.lhs), st.conclusion.rhs))),
+        "conclusion rhs": (everywhere, lambda i, st: dict(conclusion=fd(st.conclusion.lhs, flip(st.conclusion.rhs)))),
+        "sides copied": (everywhere, lambda i, st: dict(conclusion=fd(set(st.conclusion.lhs), set(st.conclusion.rhs)))),
+        "subclass conclusion": (everywhere, lambda i, st: dict(conclusion=_SubclassFD(st.conclusion.lhs, st.conclusion.rhs))),
+        "tuple conclusion": (everywhere, lambda i, st: dict(conclusion=(st.conclusion.lhs, st.conclusion.rhs))),
+        "unknown rule": (everywhere, lambda i, st: dict(rule="voodoo")),
+        "premise swapped": (cited, lambda i, st: dict(premises=repoint(st.premises, rng.randrange(max(i, 1))))),
+        "premise out of range": (cited, lambda i, st: dict(premises=repoint(st.premises, rng.choice((i, len(steps), -1))))),
+        "premises reversed": (cited, lambda i, st: dict(premises=st.premises[::-1])),
+        "augment_with": (augmented, lambda i, st: dict(augment_with=frozenset(flip(st.augment_with)))),
+        "augment_with as set": (augmented, lambda i, st: dict(augment_with=set(st.augment_with))),
+        "augment_with as list": (augmented, lambda i, st: dict(augment_with=list(st.augment_with))),
+        "augment_with as tuple": (augmented, lambda i, st: dict(augment_with=tuple(st.augment_with))),
+        "tuple conclusion, list augment_with": (augmented, lambda i, st: dict(
+            conclusion=(st.conclusion.lhs, st.conclusion.rhs), augment_with=list(st.augment_with))),
+    }
+    yield "unchanged", d
+    yield "proof conclusion", Derivation(fd(flip(d.conclusion.lhs), d.conclusion.rhs), d.steps)
+    for kind, (where, change) in kinds.items():
+        i = rng.choice(where)
+        mutated = replace(steps[i], **change(i, steps[i]))
+        yield kind, Derivation(d.conclusion, tuple(steps[:i] + [mutated] + steps[i + 1:]))
+
+
+def _replay(check, fds, d):
+    try:
+        return check(fds, d)
+    except Exception as exc:  # the exception type is part of the verdict
+        return type(exc)
+
+
+def test_check_derivation_agrees_with_the_set_building_replay():
+    rng = random.Random(19)
+    proofs = []
+    for fds, target in _fd_sets(random.Random(17), 3_000):
+        d = derive(fds, target)
+        if d is not None and len(d.steps) > 1:
+            proofs.append((fds, d))
+    chain = [FunctionalDependency({f"c{i + 1:04d}"}, {f"c{i:04d}"}) for i in range(1000)]
+    proofs.append((chain, derive(chain, FunctionalDependency({"c1000"}, {"c0000"}))))
+    assert len(proofs[-1][1].steps) == 3 * 1000 + 1
+    outcomes = collections.Counter()
+    for fds, d in proofs:
+        attrs = sorted(set().union(*(f.lhs | f.rhs for f in fds)))
+        for kind, mutant in _proof_mutants(rng, d, attrs):
+            got = _replay(check_derivation, fds, mutant)
+            assert got == _replay(O.check_derivation, fds, mutant), kind
+            outcomes[got if isinstance(got, bool) else got.__name__] += 1
+            if kind == "unchanged":
+                assert got is True
+    # 608 proofs (the 1,000-link chain among them), each unchanged and under
+    # 15 edits: 9,728 cases, of which 7,266 are rejected by a False verdict
+    # or an exception.
+    assert len(proofs) == 608
+    assert outcomes == {True: 2462, False: 4716, "TypeError": 1824, "ValueError": 608, "AttributeError": 118}
