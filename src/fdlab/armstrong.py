@@ -6,11 +6,14 @@ The three inference rules are the classical ones:
 * augmentation:  X -> Y               gives XZ -> YZ
 * transitivity:  X -> Y and Y -> Z    gives X -> Z
 
-`attribute_closure`, `implies` and `derive` share one closure loop, LinClosure
-(Beeri & Bernstein 1979), linear in total FD size up to a heap's log factor.
-`derive` emits proofs in a fixed phase order (base citations, one reflexivity
-step, augmentations, transitivities) so golden tests stay stable, and
-`check_derivation` replays them in place, in membership tests linear in proof size.
+`attribute_closure`, `implies` and `derive` run LinClosure (Beeri & Bernstein
+1979): each FD counts its lhs attributes outside the closure, ready at 0.  The
+fixpoint does not depend on firing order, so `attribute_closure` and `implies`
+fire ready FDs in any order, in O(total FD size).  `derive` cites them in a
+fixed order (of the ready FDs whose rhs is uncovered, the least by sorted lhs,
+then sorted rhs) and emits proofs in a fixed phase order (base citations, one
+reflexivity step, augmentations, transitivities) so golden tests stay stable;
+`check_derivation` replays them in place, in membership tests linear in size.
 """
 
 from __future__ import annotations
@@ -28,46 +31,34 @@ TRANSITIVITY = "transitivity"
 _RULES = (GIVEN, REFLEXIVITY, AUGMENTATION, TRANSITIVITY)
 
 
-def _sorted_fds(fds: Iterable[FunctionalDependency]) -> list:
-    return sorted(set(fds), key=lambda f: (tuple(sorted(f.lhs)), tuple(sorted(f.rhs))))
-
-
-def _firings(fds: Iterable[FunctionalDependency], attrs: Iterable[str]) -> tuple:
-    """LinClosure: the FDs that grow `attrs` in firing order, and the closure.
-
-    Each FD counts its lhs attributes outside the closure and, at 0, joins a
-    heap of `_sorted_fds` positions.  The least FD in the heap fires unless its
-    rhs is covered; then it can never grow the closure.  So each FD fires at
-    most once, always the least one that grows it: the order `derive` cites.
-    """
-    base = _sorted_fds(fds)
-    closure = set(attrs)
-    missing, waiting, ready = [0] * len(base), {}, []
-    for i, f in enumerate(base):
+def _counts(fds: list, closure) -> tuple:
+    """LinClosure's counters: per FD, its lhs attributes outside `closure`;
+    per attribute, the FDs waiting for it; and the FDs with none missing."""
+    missing, waiting, ready = [0] * len(fds), {}, []
+    for i, f in enumerate(fds):
         for a in f.lhs:
             if a not in closure:
                 missing[i] += 1
                 waiting.setdefault(a, []).append(i)
         if not missing[i]:
-            ready.append(i)  # ascending, so a heap
-    fired = []
-    while ready:
-        f = base[heapq.heappop(ready)]
-        if f.rhs <= closure:
-            continue
-        fired.append(f)
-        for a in f.rhs - closure:
-            closure.add(a)
-            for j in waiting.get(a, ()):
-                missing[j] -= 1
-                if not missing[j]:
-                    heapq.heappush(ready, j)
-    return fired, frozenset(closure)
+            ready.append(i)
+    return missing, waiting, ready
 
 
 def attribute_closure(fds: Iterable[FunctionalDependency], attrs: Iterable[str]) -> frozenset:
-    """Fixpoint of `attrs` under the FD set."""
-    return _firings(fds, attrs)[1]
+    """Fixpoint of `attrs` under the FD set: LinClosure, firing ready FDs in any order."""
+    fds = list(fds)
+    closure = set(attrs)
+    missing, waiting, ready = _counts(fds, closure)
+    while ready:
+        for a in fds[ready.pop()].rhs:
+            if a not in closure:
+                closure.add(a)
+                for j in waiting.get(a, ()):
+                    missing[j] -= 1
+                    if not missing[j]:
+                        ready.append(j)
+    return frozenset(closure)
 
 
 def implies(fds: Iterable[FunctionalDependency], fd: FunctionalDependency) -> bool:
@@ -91,32 +82,55 @@ class Derivation:
     steps: tuple
 
 
+def _firings(fds: Iterable[FunctionalDependency], target: FunctionalDependency) -> Optional[list]:
+    """The FDs `derive` cites for `target`, each as (f, S_i, S_{i+1}) with the
+    closure sets before and after it fires; None if `target` is not implied.
+
+    Citation order: of the ready FDs whose rhs is not covered, the least by
+    (sorted lhs, sorted rhs) fires next, until the target rhs is covered.  An
+    FD is keyed, and pushed on a heap as (key, index), only when it becomes
+    ready with its rhs uncovered; one whose rhs is covered when it pops, such
+    as a duplicate after its twin, can never grow the closure and is dropped.
+    """
+    fds = list(fds)
+    closure = frozenset(target.lhs)
+    missing, waiting, ready = _counts(fds, closure)
+    heap = [(sorted(fds[i].lhs), sorted(fds[i].rhs), i) for i in ready if not fds[i].rhs <= closure]
+    heapq.heapify(heap)
+    used = []
+    while not target.rhs <= closure:
+        if not heap:
+            return None
+        f = fds[heapq.heappop(heap)[2]]
+        if f.rhs <= closure:
+            continue
+        grown = closure | f.rhs
+        used.append((f, closure, grown))
+        for a in f.rhs - closure:
+            for j in waiting.get(a, ()):
+                missing[j] -= 1
+                if not missing[j] and not fds[j].rhs <= grown:
+                    heapq.heappush(heap, (sorted(fds[j].lhs), sorted(fds[j].rhs), j))
+        closure = grown
+    return used
+
+
 def derive(fds: Iterable[FunctionalDependency], fd: FunctionalDependency) -> Optional[Derivation]:
     """A machine-checkable proof of `fd` from `fds`, or None if not implied.
 
-    Shape: each used base FD is cited once; a single reflexivity step brings
-    the target rhs under the closure; augmentation steps grow the lhs chain;
-    transitivity steps stitch the chain together.
+    Shape: each used base FD is cited once, in `_firings` order; a single
+    reflexivity step brings the target rhs under the closure; augmentation
+    steps grow the lhs chain; transitivity steps stitch the chain together.
     """
-    fired, closure = _firings(fds, fd.lhs)
-    if not fd.rhs <= closure:
+    used = _firings(fds, fd)  # (f, S_i, S_{i+1})
+    if used is None:
         return None
-    # Keep the firings up to the first set S_k that covers the target rhs.
-    used = []  # (f, S_i, S_{i+1})
-    final_set = frozenset(fd.lhs)
-    for f in fired:
-        if fd.rhs <= final_set:
-            break
-        grown = final_set | f.rhs
-        used.append((f, final_set, grown))
-        final_set = grown
-
     if not used:
         return Derivation(fd, (DerivationStep(REFLEXIVITY, fd),))
 
     steps = [DerivationStep(GIVEN, f) for f, _, _ in used]
     reflex_index = len(steps)
-    steps.append(DerivationStep(REFLEXIVITY, FunctionalDependency(final_set, fd.rhs)))
+    steps.append(DerivationStep(REFLEXIVITY, FunctionalDependency(used[-1][2], fd.rhs)))
 
     # Augmentations: (S_i -> S_{i+1}) from used FD i (step i), padding by S_i.
     aug_indices = range(len(steps), len(steps) + len(used))
@@ -132,13 +146,8 @@ def derive(fds: Iterable[FunctionalDependency], fd: FunctionalDependency) -> Opt
             DerivationStep(TRANSITIVITY, FunctionalDependency(prev.lhs, nxt.rhs), (chain, idx))
         )
         chain = len(steps) - 1
-    steps.append(
-        DerivationStep(
-            TRANSITIVITY,
-            FunctionalDependency(steps[chain].conclusion.lhs, fd.rhs),
-            (chain, reflex_index),
-        )
-    )
+    last = FunctionalDependency(steps[chain].conclusion.lhs, fd.rhs)
+    steps.append(DerivationStep(TRANSITIVITY, last, (chain, reflex_index)))
     return Derivation(fd, tuple(steps))
 
 

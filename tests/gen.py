@@ -54,6 +54,28 @@ def rand_fd_set(rng: random.Random, attrs, max_fds=6) -> list:
     return [rand_fd(rng, attrs) for _ in range(rng.randint(0, max_fds))]
 
 
+def wide_fd_set(rng: random.Random, n_fds: int, n_attrs=200, start=3):
+    """`n_fds` FDs over `n_attrs` attributes, and targets from a `start`-attribute
+    lhs.  In a shuffled attribute order, a chain grows the closure of the first
+    `start` one attribute at a time up to a random cut; ten links are doubled
+    and ten skip one attribute.  Every other FD has an lhs ending at some
+    attribute and an rhs of attributes before it, so it becomes ready with its
+    rhs covered, or never.  Targets: the last attribute the chain reaches, and
+    the one after it.  Returns (fds, targets)."""
+    order = [f"A{i}" for i in range(n_attrs)]
+    rng.shuffle(order)
+    cut = rng.randint(n_attrs * 4 // 5, n_attrs - 1)
+    fds = [FunctionalDependency({order[i - 1]}, {order[i]}) for i in range(start, cut)]
+    fds += rng.sample(fds, 10)
+    fds += [FunctionalDependency({order[i - 2]}, {order[i]}) for i in rng.sample(range(start, cut), 10)]
+    while len(fds) < n_fds:
+        k = rng.randrange(1, n_attrs)
+        lhs = {order[k], *rng.sample(order[:k], min(k, rng.randint(0, 2)))}
+        fds.append(FunctionalDependency(lhs, rng.sample(order[:k], min(k, rng.randint(1, 3)))))
+    rng.shuffle(fds)
+    return fds, [FunctionalDependency(order[:start], {order[i]}) for i in (cut - 1, cut)]
+
+
 def rand_3dm_instance(rng: random.Random, n: int) -> ThreeDMInstance:
     """Instance where every element appears in at least one triple."""
     xs = [f"x{i}" for i in range(n)]

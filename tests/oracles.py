@@ -19,7 +19,7 @@ from fdlab import (
     ValuationBudgetExceeded, resemblance,
 )
 from fdlab.armstrong import (
-    _RULES, AUGMENTATION, GIVEN, REFLEXIVITY, TRANSITIVITY, Derivation, DerivationStep, _sorted_fds,
+    _RULES, AUGMENTATION, GIVEN, REFLEXIVITY, TRANSITIVITY, Derivation, DerivationStep,
 )
 from fdlab.model import to_disjunctive
 from fdlab.semantics import DEFAULT_VALUATION_CAP, MAX_RESEMBLANCE, Violation, _require_within
@@ -286,13 +286,19 @@ def seamless_world(table, fds):
     return Table.standard(table.schema, chosen) if search(list(range(len(choices)))) else None
 
 
+def _sorted_fds(fds) -> list:
+    """The distinct FDs, least first by (sorted lhs, sorted rhs)."""
+    return sorted(set(fds), key=lambda f: (tuple(sorted(f.lhs)), tuple(sorted(f.rhs))))
+
+
 def attribute_closure(fds, attrs) -> frozenset:
     """Full passes over the FD list until one adds nothing."""
     closure = set(attrs)
+    ordered = _sorted_fds(fds)
     changed = True
     while changed:
         changed = False
-        for f in _sorted_fds(fds):
+        for f in ordered:
             if f.lhs <= closure and not f.rhs <= closure:
                 closure |= f.rhs
                 changed = True
@@ -304,9 +310,10 @@ def derive(fds, fd):
     firing order: after every firing, the least FD whose lhs is covered and
     whose rhs is not fires next, until the target rhs is covered."""
     closure = frozenset(fd.lhs)
+    ordered = _sorted_fds(fds)
     used = []
     while not fd.rhs <= closure:
-        f = next((f for f in _sorted_fds(fds) if f.lhs <= closure and not f.rhs <= closure), None)
+        f = next((f for f in ordered if f.lhs <= closure and not f.rhs <= closure), None)
         if f is None:
             return None
         used.append((f, closure))

@@ -33,7 +33,7 @@ import oracles as O
 import tables as T
 from gen import (
     VALUES, rand_3dm_instance, rand_disjunctive_table, rand_fd, rand_fd_set, rand_standard_table, rand_vague_table,
-    unique_lhs_vague_table,
+    unique_lhs_vague_table, wide_fd_set,
 )
 
 GENERATORS = (rand_standard_table, rand_vague_table, rand_disjunctive_table)
@@ -462,6 +462,11 @@ def test_closure_implies_and_derive_follow_the_pass_loop():
     for n in (1, 2, 60):
         chain = [FunctionalDependency({f"A{i}"}, {f"A{i + 1}"}) for i in reversed(range(n))]
         chains.append((chain, FunctionalDependency({"A0"}, {f"A{n}"})))
+    # Wide sets where most FDs become ready with their rhs covered, so `derive` never keys them.
+    wide = random.Random(18)
+    for n in (1000, 1500, 2000):
+        fds, targets = wide_fd_set(wide, n)
+        chains += [(fds, target) for target in targets]
     for fds, target in [*_fd_sets(random.Random(15), 10_000), *chains]:
         closure = O.attribute_closure(fds, target.lhs)
         assert attribute_closure(fds, target.lhs) == closure

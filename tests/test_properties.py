@@ -1,48 +1,63 @@
-"""The abstract's negative claim, executable: on disjunctive tables, no FD
-notion is at once implied by strong satisfaction, independent of irrelevant
-attributes and seamless.
+"""The abstract's two claims, executable.  Negative: on disjunctive tables,
+no FD notion is at once implied by strong satisfaction, independent of
+irrelevant attributes and seamless.  Positive: on vague tables, pfd is.
 
-The universe is `NO_JOINT_WORLD` with A -> B and C -> D, and its projections
-onto {A, B} and {C, D}, which carry one FD each.  A notion is read as one
-boolean per (table, FD): whether the FD holds there.  The three properties
-become constraints on those booleans, and a brute-force pass over all of
-them finds no assignment that meets the three."""
+A universe is a list of (table, FD) pairs, each with the table's projection
+onto the FD's attributes.  A notion is read as one boolean per (table, FD),
+projections included: whether the FD holds there.  The three properties
+become constraints on those booleans.  On `NO_JOINT_WORLD` with A -> B and
+C -> D, whose projections onto {A, B} and {C, D} carry one FD each, a
+brute-force pass over all of them finds no assignment that meets the three.
+On every vague table of `tables.py`, pfd's verdicts meet all three."""
 
 import itertools
 
-from fdlab import check_pfd, check_seamless, check_strong, check_vertical, check_weak, project_table
+from fdlab import (
+    FunctionalDependency, Model, Table, check_pfd, check_rm, check_seamless, check_strong, check_vertical, check_weak,
+    project_table,
+)
 
 import tables as T
 
-TABLE = T.NO_JOINT_WORLD
-PROJECTIONS = {T.AB: project_table(TABLE, ["A", "B"]), T.CD: project_table(TABLE, ["C", "D"])}
-# One variable per (table, FD).
-VARIABLES = [(TABLE, T.AB), (TABLE, T.CD), (PROJECTIONS[T.AB], T.AB), (PROJECTIONS[T.CD], T.CD)]
+
+def with_projections(pairs) -> list:
+    """A universe: (table, FD, projection of the table onto the FD's attributes) per pair."""
+    return [(table, f, project_table(table, sorted(f.attributes()))) for table, f in pairs]
 
 
-def implied_by_strong(holds) -> bool:
-    return all(holds[table, f] for table, f in VARIABLES if check_strong(table, f))
+def variables(universe) -> list:
+    """One variable per (table, FD), projections included."""
+    return list(dict.fromkeys(v for table, f, p in universe for v in ((table, f), (p, f))))
 
 
-def independent(holds) -> bool:
+def implied_by_strong(universe, holds) -> bool:
+    return all(holds[table, f] for table, f in variables(universe) if check_strong(table, f))
+
+
+def independent(universe, holds) -> bool:
     """The verdict is unchanged on the projection onto the FD's attributes."""
-    return all(holds[TABLE, f] == holds[projection, f] for f, projection in PROJECTIONS.items())
+    return all(holds[table, f] == holds[p, f] for table, f, p in universe)
 
 
-def seamless(holds) -> bool:
+def seamless(universe, holds) -> bool:
     """Every set of FDs that hold on one table holds in one world of it."""
-    for table in {table for table, _ in VARIABLES}:
-        fds = [f for t, f in VARIABLES if t is table and holds[t, f]]
-        if fds and check_seamless(table, fds) is None:
-            return False
-    return True
+    held = {}
+    for table, f in variables(universe):
+        if holds[table, f]:
+            held.setdefault(table, []).append(f)
+    return all(check_seamless(table, fds) is not None for table, fds in held.items())
 
 
 PROPERTIES = {"implied by strong": implied_by_strong, "independence": independent, "seamless": seamless}
 
+TABLE = T.NO_JOINT_WORLD
+NO_JOINT = with_projections([(TABLE, T.AB), (TABLE, T.CD)])
+PROJECTIONS = {f: p for _, f, p in NO_JOINT}
+VARIABLES = variables(NO_JOINT)
 
-def broken(holds) -> set:
-    return {name for name, prop in PROPERTIES.items() if not prop(holds)}
+
+def broken(holds, universe=NO_JOINT) -> set:
+    return {name for name, prop in PROPERTIES.items() if not prop(universe, holds)}
 
 
 def test_no_fd_notion_has_all_three_properties():
@@ -62,3 +77,28 @@ def test_each_semantics_breaks_one_property_on_the_witness():
     for check, props in expected.items():
         holds = {(table, f): check(table, f) for table, f in VARIABLES}
         assert broken(holds) == props, check.__name__
+
+
+def _subsets(attrs):
+    return itertools.chain.from_iterable(itertools.combinations(attrs, k) for k in range(len(attrs) + 1))
+
+
+def test_pfd_has_all_three_properties_on_every_vague_table():
+    """The positive claim: on vague tables, pfd's verdicts break none of the
+    three constraints, while strong, weak and rm each break one.  Each vague
+    table of `tables.py` comes with every FD X -> Y over its attributes
+    (Y non-empty) and that FD's projection."""
+    vague = [t for t in vars(T).values() if isinstance(t, Table) and t.model is Model.VAGUE]
+    pairs = [
+        (table, FunctionalDependency(x, y))
+        for table in vague
+        for x in _subsets(table.schema.attributes)
+        for y in _subsets(table.schema.attributes)
+        if y
+    ]
+    assert (len(vague), len(pairs)) == (9, 450)
+    vague_universe = with_projections(pairs)
+    expected = {check_pfd: set(), check_strong: {"independence"}, check_weak: {"seamless"}, check_rm: {"seamless"}}
+    for check, props in expected.items():
+        holds = {(table, f): check(table, f) for table, f in variables(vague_universe)}
+        assert broken(holds, vague_universe) == props, check.__name__
