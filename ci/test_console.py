@@ -7,6 +7,7 @@ tier-1 `testpaths`, which test the library in-process.
 """
 
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -21,8 +22,8 @@ def fdlab():
     exe = shutil.which("fdlab")
     assert exe is not None, "the fdlab console script is not installed"
 
-    def run(*args, timeout=None):
-        return subprocess.run([exe, *args], cwd=ROOT, capture_output=True, text=True, timeout=timeout)
+    def run(*args, timeout=None, env=None):
+        return subprocess.run([exe, *args], cwd=ROOT, capture_output=True, text=True, timeout=timeout, env=env)
 
     return run
 
@@ -133,3 +134,13 @@ def test_unknown_attributes_fail_before_any_fd_is_checked(fdlab, tmp_path):
                  "--semantics", "weak", "--cap", "1")
     assert proc.returncode == 2
     assert "unknown attributes ['D']" in proc.stderr
+
+
+def test_check_imports_only_what_it_runs(fdlab):
+    # The import log of the console script, one `import time:` line per module.
+    proc = fdlab("check", "--table", "tests/data/transitivity_trap.vtab", "--fds", "tests/data/chain.fds",
+                 "--semantics", "pfd", env=dict(os.environ, PYTHONPROFILEIMPORTTIME="1"))
+    assert proc.returncode == 1
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"fdlab.cli", "fdlab.semantics", "fdlab.formats"} <= imported
+    assert not imported & {"fdlab.armstrong", "fdlab.valuation", "fdlab.pfd_index"}

@@ -8,7 +8,9 @@ valuations per tuple and search steps for seamless and weak, valuations per
 tuple for vertical, pairs compared for rm.  `worlds --cap N` bounds the
 valuations of the whole table, one product step each.  Without --cap the
 FDLAB_WORLD_CAP environment variable sets it, else the default of 1,000,000
-applies.  A cap below 1 is a usage error.
+applies.  A cap below 1 is a usage error.  Input files are read as UTF-8,
+with or without a byte-order mark.  A command imports the modules it runs
+when it runs, so `check` never loads `armstrong` or `valuation`.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .armstrong import attribute_closure
 from .errors import FdlabError, PfdPreconditionError
 from .formats import EXTENSION_MODELS, parse_fds, parse_table, serialize_fds, serialize_table
 from .model import Model, Table, enumerate_worlds
 from .semantics import DEFAULT_VALUATION_CAP, Semantics, check
-from .valuation import generate_3dm_reduction, parse_3dm, seamless_valuation_pfd
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -60,14 +60,22 @@ def _world_cap(args) -> int:
         raise FdlabError(f"FDLAB_WORLD_CAP {exc}") from None
 
 
+def _read(path: str) -> str:
+    """The text of an input file: UTF-8, without a leading byte-order mark."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FdlabError(f"{path}: line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+
+
 def _load_table(path: str, model: Optional[Model] = None) -> Table:
-    p = Path(path)
-    model = model or EXTENSION_MODELS.get(p.suffix.lower())
-    return parse_table(p.read_text(encoding="utf-8"), model=model)
+    model = model or EXTENSION_MODELS.get(Path(path).suffix.lower())
+    return parse_table(_read(path), model=model)
 
 
 def _load_fds(path: str) -> list:
-    return parse_fds(Path(path).read_text(encoding="utf-8"))
+    return parse_fds(_read(path))
 
 
 def _emit(out: Optional[str], text: str) -> None:
@@ -93,6 +101,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_valuate(args) -> int:
+    from .valuation import seamless_valuation_pfd
+
     table = _load_table(args.table)
     fds = _load_fds(args.fds)
     try:
@@ -115,6 +125,8 @@ def cmd_worlds(args) -> int:
 
 
 def cmd_closure(args) -> int:
+    from .armstrong import attribute_closure
+
     fds = _load_fds(args.fds)
     closed = attribute_closure(fds, args.attrs)
     _emit(args.out, ",".join(sorted(closed)) + "\n")
@@ -122,7 +134,9 @@ def cmd_closure(args) -> int:
 
 
 def cmd_gen3dm(args) -> int:
-    inst = parse_3dm(Path(args.instance).read_text(encoding="utf-8"))
+    from .valuation import generate_3dm_reduction, parse_3dm
+
+    inst = parse_3dm(_read(args.instance))
     reduction = generate_3dm_reduction(inst)
     table_text = serialize_table(reduction.table)
     fds_text = serialize_fds(reduction.fds)

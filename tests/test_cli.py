@@ -478,6 +478,41 @@ class TestCliWorldsClosureGen3dm:
         ) == 0
 
 
+
+def input_argv(kind: str, path) -> list:
+    """A command reading `path` as its table, FD file or matching instance."""
+    return {
+        "table": ["check", "--table", str(path), "--fds", str(DATA / "chain.fds"), "--semantics", "pfd"],
+        "fds": ["check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(path), "--semantics", "pfd"],
+        "instance": ["gen3dm", "--instance", str(path)],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind, name, raw", [
+    ("table", "bad.vtab", b"A,B,C\na1,\xff,c1\n"),
+    ("fds", "bad.fds", b"A -> B\nB -> \xffC\n"),
+    ("instance", "bad.3dm", b"1\nx \xff z\n"),
+])
+def test_non_utf8_input_exits_two_naming_file_and_byte(kind, name, raw, tmp_path, capsys):
+    bad = tmp_path / name
+    bad.write_bytes(raw)
+    assert run_cli(*input_argv(kind, bad)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fdlab: {bad}: line 2: byte 0xff is not UTF-8\n"
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("table", "transitivity_trap.vtab"), ("fds", "chain.fds"), ("instance", "matching.3dm"),
+])
+def test_byte_order_mark_is_ignored(kind, name, tmp_path, capsys):
+    bom = tmp_path / name
+    bom.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+    plain = run_cli(*input_argv(kind, DATA / name)), capsys.readouterr()
+    assert (run_cli(*input_argv(kind, bom)), capsys.readouterr()) == plain
+    assert plain[1].err == ""
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fdlab.cli", "check",

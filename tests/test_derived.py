@@ -2,8 +2,9 @@
 them never calls `check_value`, and gives what the validating constructors
 give from the same rows."""
 
+import importlib
+import pkgutil
 import random
-from types import ModuleType
 
 import pytest
 
@@ -51,9 +52,13 @@ def checks(monkeypatch):
         calls.append(v)
         return real(v)
 
-    for module in vars(fdlab).values():
-        if isinstance(module, ModuleType) and getattr(module, "check_value", None) is real:
+    patched = set()
+    for info in pkgutil.iter_modules(fdlab.__path__):
+        module = importlib.import_module(f"fdlab.{info.name}")
+        if getattr(module, "check_value", None) is real:
             monkeypatch.setattr(module, "check_value", counted)
+            patched.add(info.name)
+    assert patched >= {"model", "formats", "valuation"}
     return calls
 
 
