@@ -144,3 +144,22 @@ def test_check_imports_only_what_it_runs(fdlab):
     imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert {"fdlab.cli", "fdlab.semantics", "fdlab.formats"} <= imported
     assert not imported & {"fdlab.armstrong", "fdlab.valuation", "fdlab.pfd_index"}
+
+
+def test_table_extension_and_fd_file_reads(fdlab, tmp_path):
+    # The extension beats the directive: a .stab file is standard.
+    table = tmp_path / "directive.stab"
+    table.write_text("#model: vague\nA,B\na,{b|c}\n")
+    proc = fdlab("check", "--table", str(table), "--fds", "tests/data/chain.fds", "--semantics", "pfd")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "fdlab: line 3: set-valued cell '{b|c}' in a standard table\n"
+    # Each command that reads an FD file drops a byte-order mark and a comment.
+    plain, bom = tmp_path / "plain.fds", tmp_path / "bom.fds"
+    plain.write_text("# two FDs\nA -> B  # the first\nC -> B\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for argv in (["check", "--table", "tests/data/transitivity_trap.vtab", "--semantics", "strong"],
+                 ["valuate", "--table", "tests/data/valuation_demo.vtab"],
+                 ["closure", "--attrs", "A"]):
+        runs = [fdlab(*argv, "--fds", str(path)) for path in (plain, bom)]
+        assert runs[0].stdout and runs[0].stderr == "", argv[0]
+        assert len({(p.returncode, p.stdout, p.stderr) for p in runs}) == 1, argv[0]

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import FdlabError, PfdPreconditionError
 from .formats import EXTENSION_MODELS, parse_fds, parse_table, serialize_fds, serialize_table
-from .model import Model, Table, enumerate_worlds
+from .model import Table, enumerate_worlds
 from .semantics import DEFAULT_VALUATION_CAP, Semantics, check
 
 EXIT_OK = 0
@@ -69,13 +69,8 @@ def _read(path: str) -> str:
         raise FdlabError(f"{path}: line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
 
 
-def _load_table(path: str, model: Optional[Model] = None) -> Table:
-    model = model or EXTENSION_MODELS.get(Path(path).suffix.lower())
-    return parse_table(_read(path), model=model)
-
-
-def _load_fds(path: str) -> list:
-    return parse_fds(_read(path))
+def _load_table(path: str) -> Table:
+    return parse_table(_read(path), model=EXTENSION_MODELS.get(Path(path).suffix.lower()))
 
 
 def _emit(out: Optional[str], text: str) -> None:
@@ -88,7 +83,7 @@ def _emit(out: Optional[str], text: str) -> None:
 
 def cmd_check(args) -> int:
     table = _load_table(args.table)
-    fds = _load_fds(args.fds)
+    fds = parse_fds(_read(args.fds))
     report = check(table, fds, Semantics(args.semantics), valuation_cap=_world_cap(args))
     if args.format == "text":
         _emit(args.out, report.to_text(timing=args.timing))
@@ -104,7 +99,7 @@ def cmd_valuate(args) -> int:
     from .valuation import seamless_valuation_pfd
 
     table = _load_table(args.table)
-    fds = _load_fds(args.fds)
+    fds = parse_fds(_read(args.fds))
     try:
         world = seamless_valuation_pfd(table, fds, seed=args.seed)
     except PfdPreconditionError as exc:
@@ -127,7 +122,7 @@ def cmd_worlds(args) -> int:
 def cmd_closure(args) -> int:
     from .armstrong import attribute_closure
 
-    fds = _load_fds(args.fds)
+    fds = parse_fds(_read(args.fds))
     closed = attribute_closure(fds, args.attrs)
     _emit(args.out, ",".join(sorted(closed)) + "\n")
     return EXIT_OK

@@ -12,7 +12,7 @@ reaches zero.
 Cost: one pass over the tuple's lhs bindings per check, insert or remove,
 independent of the index size, by a kernel built in `__init__`; `insert(t)`
 right after `check(t)` of the same tuple object reuses that pass, unless a
-write (which bumps a version) came between.  A tuple with more than
+write came between: every write drops the kept pass.  A tuple with more than
 DEFAULT_VALUATION_CAP lhs bindings raises ValuationBudgetExceeded.
 """
 
@@ -43,8 +43,7 @@ class PfdIndex:
         self.schema = schema
         self._bind = _binder(*_fd_positions(schema, fd))
         self._entries: dict = {}  # binding -> [answer set, support count]
-        self._version = 0  # bumped by every write
-        self._last = (None, None, None, None)  # the last scan: (tuple, version, contributions, conflict)
+        self._last = (None, None, None)  # the last scan: (tuple, contributions, conflict), dropped by every write
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -67,15 +66,15 @@ class PfdIndex:
         """The tuple's contributions and its first conflict with a stored
         entry (None if there is none), kept until the next scan or write."""
         last = self._last  # read once: a concurrent check may replace it
-        if last[0] is t and last[1] == self._version:
-            return last[2:]
+        if last[0] is t:
+            return last[1:]
         contributions, conflict = self._contributions(t), None
         for b, answers in contributions:
             stored = self._entries.get(b, (None,))[0]
             if stored is not None and stored != answers:
                 conflict = Conflict(b, stored, answers)
                 break
-        self._last = t, self._version, contributions, conflict
+        self._last = t, contributions, conflict
         return contributions, conflict
 
     def check(self, t) -> Optional[Conflict]:
@@ -87,7 +86,7 @@ class PfdIndex:
         contributions, conflict = self._scan(t)
         if conflict is not None:
             raise PfdRejected(conflict.binding, conflict.stored, conflict.offered)
-        self._version += 1
+        self._last = (None, None, None)
         for b, answers in contributions:
             self._entries.setdefault(b, [answers, 0])[1] += 1
 
@@ -98,7 +97,7 @@ class PfdIndex:
         for (b, answers), entry in zip(contributions, entries):
             if entry is None or entry[0] != answers:
                 raise IndexContractError(f"tuple was never inserted: no matching entry for binding {b}")
-        self._version += 1
+        self._last = (None, None, None)
         for (b, _), entry in zip(contributions, entries):
             entry[1] -= 1
             if not entry[1]:

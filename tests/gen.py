@@ -134,3 +134,24 @@ def paired_lhs_vague_table(rng: random.Random, n: int):
         (frozenset(f"x{i}_{k}" for k in range(rng.randint(1, 2))), ys[i // 2], f"z{i // 2}") for i in range(n)
     ]
     return Table.vague(["X", "Y", "Z"], rows), FunctionalDependency({"Z"}, {"Y"})
+
+
+SMALL_ATTRS = ("A", "B", "C")
+
+
+def small_vague_tables(canonical=True) -> list:
+    """Every vague table over A, B, C with values {0, 1} and one or two
+    tuples: 27 + 351 = 378 tables.  With `canonical`, one per class under
+    swapping 0 and 1 in any set of attributes, which preserves every
+    verdict: 76 tables."""
+    rows = sorted(itertools.product(("0", "1", "01"), repeat=len(SMALL_ATTRS)))  # "01" is the cell {0|1}
+    tables = [pair for k in (1, 2) for pair in itertools.combinations(rows, k)]  # each sorted, like `rows`
+    if canonical:
+        swap = {"0": "1", "1": "0", "01": "01"}
+
+        def renamings(rows):
+            for flips in itertools.product((False, True), repeat=len(SMALL_ATTRS)):
+                yield tuple(sorted(tuple(swap[c] if f else c for c, f in zip(r, flips)) for r in rows))
+
+        tables = [rows for rows in tables if rows == min(renamings(rows))]
+    return [Table.vague(SMALL_ATTRS, [[frozenset(c) for c in r] for r in rows]) for rows in tables]

@@ -124,6 +124,16 @@ FREE_STANDING_RETRY = Table.vague(["A", "B", "C"], [
     ("q", {"p", "q"}, {"p", "q"}),
 ])
 
+
+def free_standing_retry_with_pairs(k: int) -> Table:
+    """`FREE_STANDING_RETRY` plus k pairs (z_i, {p|q}, p), (z_i, {p|q}, q).
+    Under A->B each pair has a world on its own and shares no binding with
+    the rest, yet a search that backtracks chronologically across them tries
+    their combinations before it gives up on the core."""
+    pairs = [(f"z{i}", {"p", "q"}, c) for i in range(k) for c in "pq"]
+    return Table.vague(["A", "B", "C"], [t.cells for t in FREE_STANDING_RETRY.tuples] + pairs)
+
+
 # Vague, A->B: no seamless world.  The search dead-ends after 2 rows, before
 # it would reach the free-standing tuple (A = r), which tries no row; the
 # least budget is 4, the valuation floor.

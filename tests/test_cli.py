@@ -513,6 +513,28 @@ def test_byte_order_mark_is_ignored(kind, name, tmp_path, capsys):
     assert plain[1].err == ""
 
 
+@pytest.mark.parametrize("name, text, model", [
+    ("t.stab", "#model: vague\nA,B\na,{b|c}\n", None),  # the extension beats the directive
+    ("t.VTAB", "A,B\na,{b|c}\n", "vague"),
+    ("t.STAB", "A,B\na,{b|c}\n", None),  # the suffix match ignores case
+    ("t.txt", "#model: disjunctive\nA,B\na,b\n", "disjunctive"),
+    ("t.txt", "A,B\na,{b|c}\n", "vague"),
+])
+def test_table_model_comes_from_extension_then_directive_then_content(name, text, model, tmp_path, capsys):
+    table, fds = tmp_path / name, tmp_path / "ab.fds"
+    table.write_text(text)
+    fds.write_text("A -> B\n")
+    code = run_cli("check", "--table", str(table), "--fds", str(fds), "--semantics", "pfd", "--format", "json")
+    captured = capsys.readouterr()
+    if model is None:
+        assert (code, captured.out) == (2, "")
+        line = 3 if text.startswith("#") else 2
+        assert captured.err == f"fdlab: line {line}: set-valued cell '{{b|c}}' in a standard table\n"
+    else:
+        assert code == 0
+        assert json.loads(captured.out)["model"] == model
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fdlab.cli", "check",

@@ -330,6 +330,19 @@ def test_free_standing_tuples_are_not_searched():
     assert budget == 7
 
 
+def test_independent_pairs_multiply_the_steps():
+    # The search backtracks chronologically, so each dead end of the core
+    # retries every combination of the pairs: the least budget grows about
+    # 4x per two pairs.  A search of each binding component apart must keep
+    # these values as upper bounds.
+    budgets = {}
+    for k in (0, 2, 4, 6, 8):
+        table = T.free_standing_retry_with_pairs(k)
+        assert check_seamless(table, [T.AB]) is None
+        budgets[k] = _least_budget(table, [T.AB])
+    assert budgets == {0: 7, 2: 37, 4: 157, 6: 637, 8: 2557}
+
+
 def test_free_standing_tuples_take_no_steps():
     # Every tuple is free-standing, so weak holds at budget 2, the largest
     # tuple's valuation count; a search that charged each a step needed 10,000.
