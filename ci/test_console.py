@@ -163,3 +163,15 @@ def test_table_extension_and_fd_file_reads(fdlab, tmp_path):
         runs = [fdlab(*argv, "--fds", str(path)) for path in (plain, bom)]
         assert runs[0].stdout and runs[0].stderr == "", argv[0]
         assert len({(p.returncode, p.stdout, p.stderr) for p in runs}) == 1, argv[0]
+
+
+def test_bad_cell_error_is_the_same_under_every_hash_seed(fdlab, tmp_path):
+    # The first bad value of the cell in text order, '#x', whatever the seed.
+    table, fds = tmp_path / "bad.vtab", tmp_path / "ab.fds"
+    table.write_text("A,B\na,{#x|#y|#z|#w}\n")
+    fds.write_text("A -> B\n")
+    argv = ["check", "--table", str(table), "--fds", str(fds), "--semantics", "pfd"]
+    runs = [fdlab(*argv, env=dict(os.environ, PYTHONHASHSEED=seed)) for seed in ("1", "2")]
+    assert [p.returncode for p in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr
+    assert "'#x'" in runs[0].stderr

@@ -46,17 +46,18 @@ def _split_row(line: str, no: int) -> list:
     return parts
 
 
-def _parse_cell(text: str, no: int) -> frozenset:
+def _parse_cell(text: str, no: int) -> list:
+    """The cell's unchecked values, in text order."""
     if text.startswith("{"):
         if not text.endswith("}"):
             raise ParseError(f"unterminated cell {text!r}", no)
         values = [v.strip() for v in text[1:-1].split("|")]
         if "" in values:
             raise ParseError(f"empty value in cell {text!r}", no)
-        return frozenset(values)
+        return values
     if "}" in text or "|" in text:
         raise ParseError(f"stray cell syntax in {text!r}", no)
-    return frozenset((text,))
+    return [text]
 
 
 def _parse_disjunctive_row(line: str, no: int, arity: int) -> list:
@@ -134,9 +135,9 @@ def parse_table(text: str, model: Optional[Model] = None) -> Table:
                 raise ParseError(f"row has {len(fields)} fields, expected {arity}", no)
             if table_model is Model.VAGUE:
                 new = [f for f in fields if f not in cells]
-                # The syntax of every cell in the row comes before any value check.
-                for f, cell in zip(new, [_parse_cell(f, no) for f in new]):
-                    cells[f] = frozenset(map(check_value, cell))
+                # Every cell's syntax comes before any value check; a cell's values are checked in text order.
+                for f, vals in zip(new, [_parse_cell(f, no) for f in new]):
+                    cells[f] = frozenset(map(check_value, vals))
                 tuples.append(VagueTuple(schema, tuple(map(cells.__getitem__, fields)), checked=True))
                 continue
             if table_model is Model.STANDARD:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -147,9 +148,6 @@ class StandardTuple:
     def valuation_count(self) -> int:
         return 1
 
-    def sort_key(self):
-        return self.values
-
     def render(self) -> str:
         return ",".join(self.values)
 
@@ -207,9 +205,6 @@ class DisjunctiveTuple:
     def valuation_count(self) -> int:
         return len(self.disjuncts)
 
-    def sort_key(self):
-        return tuple(sorted(self.disjuncts))
-
     def render(self) -> str:
         return "||".join("(" + ",".join(row) + ")" for row in sorted(self.disjuncts))
 
@@ -245,8 +240,10 @@ class Table:
         if model is Model.VAGUE:  # each distinct cell is sorted once, not per occurrence
             sorted_cells = Memo(lambda cell: tuple(sorted(cell)))
             key = lambda t: tuple(map(sorted_cells.__getitem__, t.cells))
+        elif model is Model.DISJUNCTIVE:
+            key = lambda t: sorted(t.disjuncts)
         else:
-            key = lambda t: t.sort_key()
+            key = operator.attrgetter("values")
         object.__setattr__(self, "tuples", tuple(sorted(unique, key=key)))
 
     @classmethod
@@ -276,9 +273,9 @@ class Table:
 
 def _world(schema: Schema, rows: Iterable[Row]) -> Table:
     """The standard table of `rows`, valuations of checked tuples over `schema`.
-    It equals `Table.__init__`'s, built from the sorted distinct rows (a
-    standard tuple's sort key is its row) without its per-tuple checks,
-    hashes and keyed sort."""
+    It equals `Table.__init__`'s, built from the sorted distinct rows (it
+    keys a standard tuple by its row) without its per-tuple checks, hashes
+    and keyed sort."""
     world = object.__new__(Table)
     tuples = tuple(StandardTuple(schema, r, checked=True) for r in sorted(set(rows)))
     vars(world).update(schema=schema, model=Model.STANDARD, tuples=tuples)
@@ -318,7 +315,7 @@ def enumerate_worlds(table: Table, limit: Optional[int] = None, cap: int = DEFAU
         seen.add(_world(table.schema, combo))
         if limit is not None and len(seen) > limit:
             raise WorldLimitExceeded(limit)
-    return sorted(seen, key=lambda w: tuple(t.sort_key() for t in w.tuples))
+    return sorted(seen, key=lambda w: tuple(t.values for t in w.tuples))
 
 
 def to_disjunctive_tuple(t: AnyTuple) -> DisjunctiveTuple:

@@ -157,7 +157,7 @@ def _binder(x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP):
         lhs = list(map(sorted, xs(t.cells)))
         if math.prod(map(len, lhs)) > cap:
             raise ValuationBudgetExceeded(cap)
-        rhs = list(map(sorted, ys(t.cells)))
+        rhs = ys(t.cells)
         if at is None:  # the answer set is the same for every binding
             answers = frozenset(itertools.product(*rhs))
             return [(b, answers) for b in itertools.product(*lhs)]
@@ -475,15 +475,15 @@ def find_vertical_violation(
     table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP
 ) -> Optional[Violation]:
     """Three conditions over the disjunctive form, read off the table's own
-    tuples in that form's order (by sorted valuations): cross-tuple answer-set
-    agreement; per tuple and lhs binding, Z = rhs-minus-lhs rows that are the
-    product of their columns; and per tuple, the MVD lhs ->> Z (under each
-    binding, the rows are the product of their Z and rest projections).  Only
-    disjunctive tuples can break the per-tuple two, and only a reported tuple
-    is converted.  Cost: linear in total valuations; a tuple with more than
-    `valuation_cap` valuations raises ValuationBudgetExceeded."""
+    tuples in that form's order (sorted valuations: `Table`'s order unless
+    vague): cross-tuple answer-set agreement; per tuple and lhs binding, Z =
+    rhs-minus-lhs rows that are the product of their columns; and per tuple, the
+    MVD lhs ->> Z (each binding's rows are the product of their Z and rest
+    projections).  Only disjunctive tuples can break the per-tuple two, and only
+    a reported tuple is converted.  Cost: linear in total valuations; a tuple
+    with more than `valuation_cap` valuations raises ValuationBudgetExceeded."""
     _require_within(table, valuation_cap)
-    tuples = sorted(table.tuples, key=lambda t: list(t.valuations()))
+    tuples = sorted(table.tuples, key=lambda t: list(t.valuations())) if table.model is Model.VAGUE else table.tuples
     x_pos, y_pos = _fd_positions(table.schema, fd)
     hit = _first_disagreement(tuples, _binder(x_pos, y_pos, valuation_cap), "answer-sets-differ")
     if hit is not None:

@@ -136,6 +136,18 @@ def paired_lhs_vague_table(rng: random.Random, n: int):
     return Table.vague(["X", "Y", "Z"], rows), FunctionalDependency({"Z"}, {"Y"})
 
 
+def monotone_3sat_table(rng: random.Random, n: int, m: int):
+    """A random monotone 3-SAT formula over the variables 0..n-1 with m
+    clauses, each three distinct variables all positive or all negative, as
+    (vars, positive) pairs; and its vague table over A, B, C.  Clause i
+    becomes the tuple ({x_v : v in vars}, T or F by its sign, c_i), so A -> B
+    holds weakly iff the formula is satisfiable: a world picks one variable
+    per clause, and the FD makes each variable take one sign."""
+    clauses = [(frozenset(rng.sample(range(n), 3)), rng.random() < 0.5) for _ in range(m)]
+    rows = [({f"x{v}" for v in vs}, "T" if positive else "F", f"c{i}") for i, (vs, positive) in enumerate(clauses)]
+    return Table.vague(["A", "B", "C"], rows), clauses
+
+
 SMALL_ATTRS = ("A", "B", "C")
 
 

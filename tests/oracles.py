@@ -245,6 +245,16 @@ def check_weak(table, fd, valuation_cap=DEFAULT_VALUATION_CAP) -> bool:
     return False
 
 
+def satisfiable(n, clauses) -> bool:
+    """Brute-force SAT over n variables: some of the 2^n assignments meets
+    every clause, given as (variables, positive) with the literals all of
+    one sign."""
+    return any(
+        all(any(assignment[v] == positive for v in vs) for vs, positive in clauses)
+        for assignment in itertools.product((False, True), repeat=n)
+    )
+
+
 def seamless_world(table, fds):
     """Fail-first backtracking without pruning: at every node, the lowest
     tuple with the fewest valuations compatible with the rows chosen so far

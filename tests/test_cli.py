@@ -1,6 +1,7 @@
 """Text formats and the command-line surface, including exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -533,6 +534,19 @@ def test_table_model_comes_from_extension_then_directive_then_content(name, text
     else:
         assert code == 0
         assert json.loads(captured.out)["model"] == model
+
+
+def test_first_bad_value_of_a_cell_is_named_under_every_hash_seed(tmp_path):
+    # A cell's values are checked in text order, not in a set's hash order.
+    table, fds = tmp_path / "bad.vtab", tmp_path / "ab.fds"
+    table.write_text("A,B\na,{#x|#y|#z|#w}\n")
+    fds.write_text("A -> B\n")
+    argv = [sys.executable, "-m", "fdlab.cli", "check", "--table", str(table), "--fds", str(fds), "--semantics", "pfd"]
+    runs = [subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": str(seed)})
+            for seed in range(1, 7)]
+    assert {(p.returncode, p.stderr) for p in runs} == {
+        (2, "fdlab: line 2: bad value '#x': must not begin with '#', which starts a comment line\n")
+    }
 
 
 def test_console_script_runs():

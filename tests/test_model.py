@@ -228,6 +228,15 @@ def test_canonical_vague_order_is_the_flat_key_order():
         assert list(table.tuples) == sorted(table.tuples, key=flat_key)
 
 
+def test_standard_and_disjunctive_order_is_the_valuation_order():
+    # Vertical reads these tables in their own order as the disjunctive form's.
+    rng = random.Random(33)
+    for make in (rand_standard_table, rand_disjunctive_table):
+        for _ in range(200):
+            table = make(rng, max_tuples=8)
+            assert list(table) == list(table.tuples) == sorted(table.tuples, key=lambda t: list(t.valuations()))
+
+
 # --- hypothesis strategies -------------------------------------------------
 
 values = st.sampled_from(["u", "v", "w"])

@@ -32,8 +32,8 @@ from fdlab.semantics import (
 import oracles as O
 import tables as T
 from gen import (
-    VALUES, rand_3dm_instance, rand_disjunctive_table, rand_fd, rand_fd_set, rand_standard_table, rand_vague_table,
-    unique_lhs_vague_table, wide_fd_set,
+    VALUES, monotone_3sat_table, rand_3dm_instance, rand_disjunctive_table, rand_fd, rand_fd_set, rand_standard_table,
+    rand_vague_table, unique_lhs_vague_table, wide_fd_set,
 )
 
 GENERATORS = (rand_standard_table, rand_vague_table, rand_disjunctive_table)
@@ -156,6 +156,20 @@ def test_strong_and_weak_return_the_world_oracles_verdicts():
         assert tuple(u1[i] for i in x_pos) == v.binding == tuple(u2[i] for i in x_pos)
         assert tuple(u1[i] for i in y_pos) != tuple(u2[i] for i in y_pos)
     assert violated > 100 and weak_fails > 20
+
+
+def test_weak_on_one_fd_decides_monotone_3sat():
+    # Weak is NP-complete already for one FD: A -> B holds weakly on the
+    # table of a monotone 3-SAT formula iff the formula is satisfiable.
+    rng = random.Random(21)
+    answers = collections.Counter()
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        table, clauses = monotone_3sat_table(rng, n, rng.randint(n, 14 * n))
+        want = O.satisfiable(n, clauses)
+        assert check_weak(table, T.AB) == want
+        answers[want] += 1
+    assert answers[True] > 100 and answers[False] > 20
 
 
 def test_strong_witness_is_the_least_pair_of_valuations():

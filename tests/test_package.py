@@ -70,3 +70,7 @@ def test_exports_resolve_to_their_home_objects():
     """)
     assert set(fdlab.__all__) <= set(names)
     assert len(fdlab.__all__) == len(set(fdlab.__all__)) == 55
+
+
+def test_dir_lists_every_export():
+    assert set(fdlab.__all__) <= set(dir(fdlab))
