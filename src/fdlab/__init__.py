@@ -23,7 +23,7 @@ _HOMES = {
     "armstrong": ("Derivation", "DerivationStep", "attribute_closure", "check_derivation", "derive", "implies"),
     "valuation": (
         "ReductionOutput", "ThreeDMInstance", "generate_3dm_reduction", "parse_3dm", "seamless_valuation_pfd",
-        "seamless_valuation_rows", "serialize_3dm", "solve_3dm_bruteforce",
+        "seamless_valuation_rows", "solve_3dm_bruteforce",
     ),
     "pfd_index": ("Conflict", "PfdIndex"),
     "formats": ("parse_fds", "parse_table", "serialize_fds", "serialize_table"),

@@ -11,9 +11,9 @@ constructors (and `Table.standard`/`vague`/`disjunctive`), `parse_table` and
 `generate_3dm_reduction` check and intern them.  With `checked=True` the
 constructors trust their input instead: it must already be in the stored
 form (a tuple of values, a tuple of frozenset cells, a frozenset of rows)
-built from `check_value` results, with the schema's arity.  Tables and
-tuples derived from checked ones (worlds, witnesses, projections) are built
-that way, so nothing is re-checked.
+built from `check_value` results, with the schema's arity.  Tables, tuples
+and schemas derived from checked ones (worlds, witnesses, projections,
+`Schema.restrict`) are built that way, so nothing is re-checked.
 
 All types here are immutable and hashable.  Values are plain strings with a
 total order (lexicographic), used only to make iteration and serialization
@@ -78,7 +78,9 @@ class Schema:
         return tuple(i for i, a in enumerate(self.attributes) if a in wanted)
 
     def restrict(self, attrs: Iterable[str]) -> "Schema":
-        return Schema(self.attributes[i] for i in self.positions(attrs))
+        sub = object.__new__(Schema)  # its names are checked already
+        object.__setattr__(sub, "attributes", tuple(self.attributes[i] for i in self.positions(attrs)))
+        return sub
 
 
 _CELL_OPEN, _CELL_SEP, _CELL_CLOSE = "{", "|", "}"
@@ -113,10 +115,14 @@ class Memo(dict):
         return value
 
 
+def _in_order(items: Iterable) -> Iterable:
+    """A set of several items sorted by `repr` (which never raises), anything else
+    as given, so the first bad item an error names does not depend on the hash seed."""
+    return sorted(items, key=repr) if isinstance(items, (set, frozenset)) and len(items) > 1 else items
+
+
 def _as_cell(value) -> frozenset:
-    if isinstance(value, str):
-        return frozenset((check_value(value),))
-    return frozenset(check_value(v) for v in value)
+    return frozenset(map(check_value, (value,) if isinstance(value, str) else _in_order(value)))
 
 
 def render_cell(cell: frozenset) -> str:
@@ -136,7 +142,7 @@ class StandardTuple:
 
     def __init__(self, schema: Schema, values: Sequence[str], *, checked: bool = False):
         if not checked:
-            values = tuple(check_value(v) for v in values)
+            values = tuple(map(check_value, _in_order(values)))
             if len(values) != len(schema):
                 raise SchemaError(f"arity {len(values)} does not match schema {schema.attributes}")
         object.__setattr__(self, "schema", schema)
@@ -161,7 +167,7 @@ class VagueTuple:
 
     def __init__(self, schema: Schema, cells: Sequence, *, checked: bool = False):
         if not checked:
-            cells = tuple(_as_cell(c) for c in cells)
+            cells = tuple(map(_as_cell, _in_order(cells)))
             if len(cells) != len(schema):
                 raise SchemaError(f"arity {len(cells)} does not match schema {schema.attributes}")
             for attr, cell in zip(schema, cells):
@@ -190,14 +196,14 @@ class DisjunctiveTuple:
 
     def __init__(self, schema: Schema, disjuncts: Iterable[Sequence[str]], *, checked: bool = False):
         if not checked:
-            disjuncts = frozenset(tuple(check_value(v) for v in row) for row in disjuncts)
+            disjuncts = [tuple(map(check_value, row)) for row in _in_order(disjuncts)]
             if not disjuncts:
                 raise SchemaError("disjunctive tuple needs at least one disjunct")
             for row in disjuncts:
                 if len(row) != len(schema):
                     raise SchemaError(f"disjunct arity {len(row)} does not match schema {schema.attributes}")
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "disjuncts", disjuncts)
+        object.__setattr__(self, "disjuncts", frozenset(disjuncts))  # a frozenset comes back as is
 
     def valuations(self) -> Iterator[Row]:
         return iter(sorted(self.disjuncts))
@@ -304,18 +310,18 @@ def enumerate_worlds(table: Table, limit: Optional[int] = None, cap: int = DEFAU
     of the table, with equal worlds collapsed.
 
     Raises WorldLimitExceeded as soon as the number of distinct worlds passes
-    `limit`.  Cost: one product step per valuation of the table; a table with
-    more than `cap` of them raises ValuationBudgetExceeded before any world
-    is built.
+    `limit`.  Cost: one product step per valuation of the table, and one
+    world built per distinct world; a table with more than `cap` valuations
+    raises ValuationBudgetExceeded before the first step.
     """
     if table.valuation_count() > cap:
         raise ValuationBudgetExceeded(cap)
-    seen = set()
+    seen = set()  # each world as its set of rows
     for combo in itertools.product(*(t.valuations() for t in table.tuples)):
-        seen.add(_world(table.schema, combo))
+        seen.add(frozenset(combo))
         if limit is not None and len(seen) > limit:
             raise WorldLimitExceeded(limit)
-    return sorted(seen, key=lambda w: tuple(t.values for t in w.tuples))
+    return [_world(table.schema, rows) for rows in sorted(seen, key=sorted)]
 
 
 def to_disjunctive_tuple(t: AnyTuple) -> DisjunctiveTuple:

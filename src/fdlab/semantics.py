@@ -121,14 +121,14 @@ def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[st
     onto projection of `_rows_under`, so a vague tuple's cells outside X and
     onto contribute one value each.  The binding gives one value per
     attribute of X, in schema order; any other length raises SchemaError."""
-    onto_attrs = tuple(t.schema.attributes if onto is None else t.schema.restrict(onto).attributes)
-    x_norm = tuple(t.schema.restrict(x_attrs).attributes)
+    y_pos = tuple(range(len(t.schema))) if onto is None else t.schema.positions(onto)
+    x_pos = t.schema.positions(x_attrs)
+    x_norm = tuple(t.schema.attributes[i] for i in x_pos)
     binding = tuple(binding)
     if len(binding) != len(x_norm):
         raise SchemaError(f"binding {binding} has {len(binding)} values for the {len(x_norm)} attributes {x_norm}")
-    x_pos, y_pos = t.schema.positions(x_norm), t.schema.positions(onto_attrs)
     answers = frozenset(tuple(row[i] for i in y_pos) for row in _rows_under(t, x_pos, binding, y_pos))
-    return SelectionResult(t, x_norm, binding, onto_attrs, answers)
+    return SelectionResult(t, x_norm, binding, tuple(t.schema.attributes[i] for i in y_pos), answers)
 
 
 def _getter(pos: tuple):
@@ -526,13 +526,13 @@ def _known_variant(variant: str) -> None:
 def _overlap(c1: tuple, c2: tuple, pos: tuple, variant: str) -> float:
     """Least resemblance of the cells of c1 and c2 at positions `pos` (1.0
     for none); 0.0 at the first disjoint pair of cells."""
+    denominator = min if variant == MAX_RESEMBLANCE else max  # max(a/x, a/y) is a/min(x, y), bit for bit
     least = 1.0
     for i in pos:
         inter = len(c1[i] & c2[i])
         if not inter:
             return 0.0
-        ratios = inter / len(c1[i]), inter / len(c2[i])
-        least = min(least, max(ratios) if variant == MAX_RESEMBLANCE else min(ratios))
+        least = min(least, inter / denominator(len(c1[i]), len(c2[i])))
     return least
 
 
@@ -627,7 +627,6 @@ class FdVerdict:
     witness world if any."""
 
     fds: tuple
-    semantics: Semantics
     holds: bool
     violation: Optional[Violation] = None
     witness: Optional[Table] = None
@@ -712,9 +711,9 @@ def check(
     for group in [fds] if semantics is Semantics.SEAMLESS else [(fd,) for fd in fds]:
         if semantics in (Semantics.WEAK, Semantics.SEAMLESS):
             witness = check_seamless(table, group, budget=valuation_cap)
-            report.verdicts.append(FdVerdict(group, semantics, witness is not None, witness=witness))
+            report.verdicts.append(FdVerdict(group, witness is not None, witness=witness))
         else:
             v = _FINDERS[semantics](table, *group, valuation_cap)
-            report.verdicts.append(FdVerdict(group, semantics, v is None, violation=v))
+            report.verdicts.append(FdVerdict(group, v is None, violation=v))
     report.elapsed_s = time.perf_counter() - start
     return report

@@ -228,9 +228,3 @@ def parse_3dm(text: str) -> ThreeDMInstance:
         return ThreeDMInstance(cols[0], cols[1], cols[2], triples)
     except ValueError as exc:  # columns sharing an element
         raise ParseError(str(exc)) from None
-
-
-def serialize_3dm(inst: ThreeDMInstance) -> str:
-    lines = [str(inst.n)]
-    lines.extend(" ".join(t) for t in inst.triples)
-    return "\n".join(lines) + "\n"

@@ -149,21 +149,44 @@ def monotone_3sat_table(rng: random.Random, n: int, m: int):
 
 
 SMALL_ATTRS = ("A", "B", "C")
+_SWAP = {"0": "1", "1": "0", "01": "01"}  # "01" is the vague cell {0|1}
+
+
+def _flip(row: tuple, flips: tuple) -> tuple:
+    return tuple(_SWAP[c] if f else c for c, f in zip(row, flips))
+
+
+def _one_per_renaming(tables: list, rename) -> list:
+    """Of `tables`, each a sorted tuple of its tuples, the least of each class
+    under swapping 0 and 1 in any set of attributes, which preserves every
+    verdict; `rename(t, flips)` swaps the values of one tuple."""
+
+    def renamings(ts):
+        for flips in itertools.product((False, True), repeat=len(SMALL_ATTRS)):
+            yield tuple(sorted(rename(t, flips) for t in ts))
+
+    return [ts for ts in tables if ts == min(renamings(ts))]
 
 
 def small_vague_tables(canonical=True) -> list:
     """Every vague table over A, B, C with values {0, 1} and one or two
     tuples: 27 + 351 = 378 tables.  With `canonical`, one per class under
-    swapping 0 and 1 in any set of attributes, which preserves every
-    verdict: 76 tables."""
-    rows = sorted(itertools.product(("0", "1", "01"), repeat=len(SMALL_ATTRS)))  # "01" is the cell {0|1}
+    swapping 0 and 1 in any set of attributes: 76 tables."""
+    rows = sorted(itertools.product(("0", "1", "01"), repeat=len(SMALL_ATTRS)))
     tables = [pair for k in (1, 2) for pair in itertools.combinations(rows, k)]  # each sorted, like `rows`
     if canonical:
-        swap = {"0": "1", "1": "0", "01": "01"}
-
-        def renamings(rows):
-            for flips in itertools.product((False, True), repeat=len(SMALL_ATTRS)):
-                yield tuple(sorted(tuple(swap[c] if f else c for c, f in zip(r, flips)) for r in rows))
-
-        tables = [rows for rows in tables if rows == min(renamings(rows))]
+        tables = _one_per_renaming(tables, _flip)
     return [Table.vague(SMALL_ATTRS, [[frozenset(c) for c in r] for r in rows]) for rows in tables]
+
+
+def small_disjunctive_tables(canonical=True) -> list:
+    """Every disjunctive table over A, B, C with values {0, 1}, one or two
+    tuples and one or two disjuncts per tuple: 8 + 28 = 36 tuples and
+    36 + 630 = 666 tables.  With `canonical`, one per class under swapping 0
+    and 1 in any set of attributes: 106 tables."""
+    rows = sorted(itertools.product("01", repeat=len(SMALL_ATTRS)))
+    tuples = sorted(d for k in (1, 2) for d in itertools.combinations(rows, k))
+    tables = [pair for k in (1, 2) for pair in itertools.combinations(tuples, k)]  # each sorted, like `tuples`
+    if canonical:
+        tables = _one_per_renaming(tables, lambda d, flips: tuple(sorted(_flip(r, flips) for r in d)))
+    return [Table.disjunctive(SMALL_ATTRS, d) for d in tables]

@@ -8,7 +8,8 @@ linear or hoisted work; strong and weak must return the same verdicts.  The
 closure oracles repeat full passes over the FD list, and the proof checker
 rebuilds each rule's conclusion and compares it whole.  The worklist flood
 grows each valuation group by pairwise cell intersections, and the one-sweep
-flood shows why the valuation flood must take whole components.
+flood shows why the valuation flood must take whole components.  rm's
+resemblance takes both overlap ratios of each pair of cells.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import random
 
 from fdlab import (
     DisjunctiveTuple, FunctionalDependency, Model, ModelError, StandardTuple, Table, VagueTuple,
-    ValuationBudgetExceeded, resemblance,
+    ValuationBudgetExceeded,
 )
 from fdlab.armstrong import (
     _RULES, AUGMENTATION, GIVEN, REFLEXIVITY, TRANSITIVITY, Derivation, DerivationStep,
@@ -55,6 +56,12 @@ def answer_set(t, x_attrs, binding, y_attrs) -> frozenset:
         return frozenset()
     factors = [(bound[i],) if i in bound else sorted(_cell(t, i)) for i in y_pos]
     return frozenset(itertools.product(*factors))
+
+
+def resemblance(a, b, variant=MAX_RESEMBLANCE) -> float:
+    """|a & b| / |a| and |a & b| / |b|: the larger for the max variant, the smaller for min."""
+    ratios = len(a & b) / len(a), len(a & b) / len(b)
+    return max(ratios) if variant == MAX_RESEMBLANCE else min(ratios)
 
 
 def tuple_resemblance(t1, t2, attrs, variant=MAX_RESEMBLANCE) -> float:

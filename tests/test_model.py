@@ -1,7 +1,11 @@
 """Core model layer: projection, equality, worlds."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +45,15 @@ class TestSchema:
     def test_empty_name_rejected(self):
         with pytest.raises(SchemaError):
             Schema(("A", ""))
+
+    def test_restrict_reuses_the_checked_names(self, monkeypatch):
+        s = Schema(("A", "B", "C"))
+        monkeypatch.setattr(Schema, "__init__", lambda *args: pytest.fail("names checked again"))
+        sub = s.restrict({"C", "A"})
+        with pytest.raises(SchemaError, match="unknown attributes"):
+            s.restrict({"D"})
+        monkeypatch.undo()
+        assert sub == Schema(("A", "C")) and hash(sub) == hash(Schema(("A", "C")))
 
     @pytest.mark.parametrize("name", ["#A", "#", "#model:"])
     def test_name_beginning_with_hash_rejected(self, name):
@@ -140,6 +153,31 @@ class TestEquality:
         for attr in S2:
             assert project_tuple(t1, {attr}) == project_tuple(t2, {attr})
         assert t1 != t2
+
+
+def test_first_bad_input_is_named_under_every_hash_seed():
+    # A caller's set is read in a fixed order, and a list in its own order,
+    # so the error does not depend on the order a set hashes into.
+    script = textwrap.dedent("""
+        from fdlab import Table
+        for build in (
+            lambda: Table.standard(["A"], [{"#x", "#y", "#z", "#w"}]),
+            lambda: Table.vague(["A"], [{"#x", "#y", "#z", "#w"}]),
+            lambda: Table.vague(["A"], [[{"#x", "#y", "#z", "#w"}]]),
+            lambda: Table.disjunctive(["A"], [{("#x",), ("#y",), ("#z",), ("#w",)}]),
+            lambda: Table.disjunctive(["A"], [[("a",), ("a", "b", "c"), ("x", "y", "z", "w")]]),
+            lambda: Table.disjunctive(["A"], [{("a",), ("a", "b", "c"), ("x", "y", "z", "w")}]),
+        ):
+            try:
+                build()
+            except Exception as exc:
+                print(f"{type(exc).__name__}: {exc}")
+    """)
+    runs = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": str(seed)}).stdout for seed in range(1, 7)}
+    bad_value = "SchemaError: bad value '#w': must not begin with '#', which starts a comment line\n"
+    bad_arity = "SchemaError: disjunct arity 3 does not match schema ('A',)\n"
+    assert runs == {bad_value * 4 + bad_arity * 2}
 
 
 class TestWorlds:

@@ -16,7 +16,7 @@ import pytest
 from fdlab import (
     Derivation, FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, attribute_closure,
     check_derivation, check_pfd, check_seamless, check_weak, derive, generate_3dm_reduction, implies, parse_fds,
-    parse_table, seamless_valuation_rows, select,
+    parse_table, resemblance, seamless_valuation_rows, select,
 )
 from fdlab.armstrong import AUGMENTATION
 from fdlab.semantics import (
@@ -32,8 +32,8 @@ from fdlab.semantics import (
 import oracles as O
 import tables as T
 from gen import (
-    VALUES, monotone_3sat_table, rand_3dm_instance, rand_disjunctive_table, rand_fd, rand_fd_set, rand_standard_table,
-    rand_vague_table, unique_lhs_vague_table, wide_fd_set,
+    SMALL_ATTRS, VALUES, monotone_3sat_table, rand_3dm_instance, rand_disjunctive_table, rand_fd, rand_fd_set,
+    rand_standard_table, rand_vague_table, small_disjunctive_tables, unique_lhs_vague_table, wide_fd_set,
 )
 
 GENERATORS = (rand_standard_table, rand_vague_table, rand_disjunctive_table)
@@ -123,6 +123,12 @@ def _data_rm_cases():
             yield from ((table, f) for f in fds if f.attributes() <= set(table.schema.attributes))
 
 
+def test_resemblance_is_the_definitions_to_the_bit():
+    cells = [frozenset(c) for k in range(1, 6) for c in itertools.combinations("abcde", k)]
+    for a, b, variant in itertools.product(cells, cells, ("max", "min")):
+        assert resemblance(a, b, variant) == O.resemblance(a, b, variant), (a, b, variant)
+
+
 def test_blocked_rm_returns_the_oracles_violation():
     data = list(_data_rm_cases())
     violated = 0
@@ -156,6 +162,26 @@ def test_strong_and_weak_return_the_world_oracles_verdicts():
         assert tuple(u1[i] for i in x_pos) == v.binding == tuple(u2[i] for i in x_pos)
         assert tuple(u1[i] for i in y_pos) != tuple(u2[i] for i in y_pos)
     assert violated > 100 and weak_fails > 20
+
+
+def test_every_small_disjunctive_table_follows_the_definitions():
+    # The whole scope, not a sample: every disjunctive table over A, B, C with
+    # values {0, 1}, one or two tuples and one or two disjuncts each, one per
+    # renaming of values, with every FD X -> Y (Y non-empty).
+    subsets = [s for k in range(len(SMALL_ATTRS) + 1) for s in itertools.combinations(SMALL_ATTRS, k)]
+    fds = [FunctionalDependency(x, y) for x in subsets for y in subsets if y]
+    tables = small_disjunctive_tables()
+    assert (len(tables), len(fds)) == (106, 56)
+    fails = collections.Counter()
+    for table in tables:
+        for f in fds:
+            pfd, vertical = O.find_pfd_violation(table, f), O.find_vertical_violation(table, f)
+            assert (find_pfd_violation(table, f), find_vertical_violation(table, f)) == (pfd, vertical)
+            strong, weak = O.find_strong_violation(table, f) is None, O.check_weak(table, f)
+            assert (find_strong_violation(table, f) is None, check_weak(table, f)) == (strong, weak)
+            fails.update(name for name, v in (("pfd", pfd), ("vertical", vertical)) if v is not None)
+            fails.update(name for name, holds in (("strong", strong), ("weak", weak)) if not holds)
+    assert min(fails[name] for name in ("pfd", "vertical", "strong", "weak")) > 50, fails
 
 
 def test_weak_on_one_fd_decides_monotone_3sat():

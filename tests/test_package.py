@@ -69,7 +69,7 @@ def test_exports_resolve_to_their_home_objects():
         print(*sorted(listed))
     """)
     assert set(fdlab.__all__) <= set(names)
-    assert len(fdlab.__all__) == len(set(fdlab.__all__)) == 55
+    assert len(fdlab.__all__) == len(set(fdlab.__all__)) == 54
 
 
 def test_dir_lists_every_export():

@@ -20,7 +20,6 @@ from fdlab import (
     parse_3dm,
     seamless_valuation_pfd,
     seamless_valuation_rows,
-    serialize_3dm,
     solve_3dm_bruteforce,
 )
 
@@ -178,7 +177,7 @@ class TestReduction:
 
 class TestInstanceFormat:
     def test_roundtrip(self):
-        text = serialize_3dm(T.MATCHING_INSTANCE)
+        text = "3\na 2 B\nb 1 A\nc 3 C\na 1 B\nb 3 B\n"
         assert parse_3dm(text) == T.MATCHING_INSTANCE
 
     def test_membership_inferred_by_position(self):
