@@ -4,8 +4,9 @@ Exit codes: 0 every dependency satisfied (or witness found), 1 a dependency
 violated or no witness exists, 2 usage, parse, model, or budget errors, and
 any unexpected error (its traceback goes to stderr).  `check --cap N` sets
 the valuation cap: lhs bindings per tuple for pfd and strong, both
-valuations per tuple and search steps for seamless and weak, valuations per
-tuple for vertical, pairs compared for rm.  `worlds --cap N` bounds the
+valuations per tuple and search steps for seamless and weak, lhs bindings per
+vague tuple and valuations per disjunctive or reported tuple for vertical,
+pairs compared for rm.  `worlds --cap N` bounds the
 valuations of the whole table, one product step each.  Without --cap the
 FDLAB_WORLD_CAP environment variable sets it, else the default of 1,000,000
 applies.  A cap below 1 is a usage error.  Input files are read as UTF-8,

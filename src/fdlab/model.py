@@ -288,21 +288,24 @@ def _world(schema: Schema, rows: Iterable[Row]) -> Table:
     return world
 
 
+def _projector(schema: Schema, attrs: Iterable[str], kind: type):
+    """The sub-schema of `attrs` and t -> t[X] for `kind` tuples over `schema`."""
+    pos, sub = schema.positions(attrs), schema.restrict(attrs)
+    cut = lambda row: tuple(row[i] for i in pos)
+    if kind is DisjunctiveTuple:
+        return sub, lambda t: DisjunctiveTuple(sub, frozenset(map(cut, t.disjuncts)), checked=True)
+    return sub, lambda t: kind(sub, cut(t.values if kind is StandardTuple else t.cells), checked=True)
+
+
 def project_tuple(t: AnyTuple, attrs: Iterable[str]) -> AnyTuple:
     """t[X]; preserves the tuple model."""
-    pos = t.schema.positions(attrs)
-    sub = t.schema.restrict(attrs)
-    if isinstance(t, StandardTuple):
-        return StandardTuple(sub, tuple(t.values[i] for i in pos), checked=True)
-    if isinstance(t, VagueTuple):
-        return VagueTuple(sub, tuple(t.cells[i] for i in pos), checked=True)
-    return DisjunctiveTuple(sub, frozenset(tuple(row[i] for i in pos) for row in t.disjuncts), checked=True)
+    return _projector(t.schema, attrs, type(t))[1](t)
 
 
 def project_table(table: Table, attrs: Iterable[str]) -> Table:
-    """pi_X(R): project every tuple; duplicates collapse."""
-    sub = table.schema.restrict(attrs)
-    return Table(sub, table.model, (project_tuple(t, attrs) for t in table.tuples))
+    """pi_X(R): project every tuple, the names resolved once; duplicates collapse."""
+    sub, project = _projector(table.schema, attrs, _MODEL_TYPES[table.model])
+    return Table(sub, table.model, map(project, table.tuples))
 
 
 def enumerate_worlds(table: Table, limit: Optional[int] = None, cap: int = DEFAULT_VALUATION_CAP) -> list:

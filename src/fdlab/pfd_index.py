@@ -2,7 +2,10 @@
 rhs answer sets.
 
 Each accepted tuple contributes, for every standard binding its lhs cells can
-take, the answer set of rhs rows it selects under that binding.  An insert is
+take, the answer set of rhs rows it selects under that binding, in the
+binding kernel's one canonical form for every tuple model (a product as its
+rhs cells), so answers compare in O(|Y|); row sets are built only for
+`entries()` and `Conflict`.  An insert is
 rejected the moment any binding disagrees with the stored answer set, and a
 rejected insert leaves the index untouched (all bindings are scanned before
 any mutation), so updates can be done as remove-then-insert.  Counters track
@@ -23,7 +26,7 @@ from typing import Iterable, Optional
 
 from .errors import IndexContractError, PfdRejected, SchemaError
 from .model import Schema
-from .semantics import FunctionalDependency, _binder, _fd_positions
+from .semantics import FunctionalDependency, _binder, _fd_positions, _rows
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class PfdIndex:
         self.fd = fd
         self.schema = schema
         self._bind = _binder(*_fd_positions(schema, fd))
-        self._entries: dict = {}  # binding -> [answer set, support count]
+        self._entries: dict = {}  # binding -> [canonical answer, support count]
         self._last = (None, None, None)  # the last scan: (tuple, contributions, conflict), dropped by every write
 
     def __len__(self) -> int:
@@ -51,16 +54,16 @@ class PfdIndex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PfdIndex):
             return NotImplemented
-        return self.fd == other.fd and self.schema == other.schema and self.entries() == other.entries()
+        return self.fd == other.fd and self.schema == other.schema and self._entries == other._entries
 
     def entries(self) -> dict:
         """Snapshot: binding -> (answer set, support count)."""
-        return {k: tuple(e) for k, e in self._entries.items()}
+        return {k: (_rows(answers), n) for k, (answers, n) in self._entries.items()}
 
     def _contributions(self, t) -> list:
         if t.schema.attributes != self.schema.attributes:
             raise SchemaError(f"tuple schema {t.schema.attributes} differs from index schema {self.schema.attributes}")
-        return self._bind(t)
+        return list(self._bind(t))
 
     def _scan(self, t) -> tuple:
         """The tuple's contributions and its first conflict with a stored
@@ -72,7 +75,7 @@ class PfdIndex:
         for b, answers in contributions:
             stored = self._entries.get(b, (None,))[0]
             if stored is not None and stored != answers:
-                conflict = Conflict(b, stored, answers)
+                conflict = Conflict(b, _rows(stored), _rows(answers))
                 break
         self._last = t, contributions, conflict
         return contributions, conflict

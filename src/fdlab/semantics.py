@@ -20,14 +20,18 @@ takes the smallest one from a lazy heap.
 Weak is seamless satisfaction of a one-FD set.  The standard, strong, pfd
 and vertical checks and `PfdIndex` share one core: `_binder`, built once
 per FD and pass, maps a tuple to its binding -> answer set pairs, and
-`_first_disagreement` makes one hash pass over them.  No checker enumerates
-possible worlds.  rm scores only the pairs that share a value on its most
-selective lhs attribute, found in a `value -> tuples` index, and counts the
-pairs it compares against a cap.
+`_first_disagreement` makes one hash pass over them.  An answer set has one
+canonical form, equal iff the row sets are: a standard or vague tuple's is
+its rhs cells (or its one row), so it costs O(|Y|), never the product of
+its cells, and vertical on those tables is the pfd pass.  No checker
+enumerates possible worlds.  rm scores only the pairs that share a value on
+its most selective lhs attribute, found in a `value -> tuples` index, and
+counts the pairs it compares against a cap.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -109,7 +113,6 @@ def _rows_under(t, x_pos: tuple, binding: tuple, y_pos: tuple):
 class SelectionResult:
     """Outcome of selecting t[X=binding] and projecting the survivors."""
 
-    source: object
     x_attrs: tuple
     binding: tuple
     onto: tuple
@@ -128,7 +131,7 @@ def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[st
     if len(binding) != len(x_norm):
         raise SchemaError(f"binding {binding} has {len(binding)} values for the {len(x_norm)} attributes {x_norm}")
     answers = frozenset(tuple(row[i] for i in y_pos) for row in _rows_under(t, x_pos, binding, y_pos))
-    return SelectionResult(t, x_norm, binding, tuple(t.schema.attributes[i] for i in y_pos), answers)
+    return SelectionResult(x_norm, binding, tuple(t.schema.attributes[i] for i in y_pos), answers)
 
 
 def _getter(pos: tuple):
@@ -136,13 +139,44 @@ def _getter(pos: tuple):
     return operator.itemgetter(*pos) if pos else lambda row: ()
 
 
+def _product(cells: tuple):
+    """The canonical answer for the product of non-empty cells: its one row
+    when every cell is a singleton, else the cells."""
+    return cells if sum(map(len, cells)) > len(cells) else next(zip(*cells), ())
+
+
+def _answer(rows: set):
+    """The canonical answer for a set of rows: its one row, else its column
+    sets when it is their product, else the frozenset of rows."""
+    if len(rows) == 1:
+        return next(iter(rows))
+    cells = tuple(map(frozenset, zip(*rows)))
+    return cells if math.prod(map(len, cells)) == len(rows) else frozenset(rows)
+
+
+def _one_row(answer) -> bool:
+    return type(answer) is tuple and not (answer and type(answer[0]) is frozenset)
+
+
+def _rows(answer) -> frozenset:
+    """The set of rows a canonical answer stands for."""
+    if type(answer) is frozenset:
+        return answer
+    return frozenset((answer,)) if _one_row(answer) else frozenset(itertools.product(*answer))
+
+
 def _binder(x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP):
-    """The kernel `t -> [(binding, t[X=binding][Y]), ...]` for one FD (X and
+    """The kernel `t -> ((binding, t[X=binding][Y]), ...)` for one FD (X and
     Y as schema positions): every lhs binding of `t`, in sorted order, with
-    its rhs answer set.  Linear in the bindings; a vague tuple with more
-    than `cap` of them raises ValuationBudgetExceeded.  The projectors, the
-    rhs positions bound by the lhs and the branch per tuple type are
-    resolved here, once per FD and pass, not once per tuple."""
+    its rhs answer set in one canonical form, so answers are equal iff their
+    row sets are (`_rows` lists them): a set's one row, else its column sets
+    when it is their product, as it is for any vague tuple, else its rows.
+    A vague tuple's answer is its rhs cells, a cell the lhs binds replaced
+    by {b[k]}: O(|Y|), once per tuple when X and Y do not overlap, and its
+    pairs come lazily.  Linear in the bindings; a vague tuple with more than
+    `cap` of them raises ValuationBudgetExceeded.  The projectors, the rhs
+    positions bound by the lhs and the branch per tuple type are resolved
+    here, once per FD and pass, not once per tuple."""
     # Projectors to tuples: `_getter`, with a one-element slice for one position.
     xs, ys = (operator.itemgetter(slice(p[0], p[0] + 1)) if len(p) == 1 else _getter(p) for p in (x_pos, y_pos))
     at = [x_pos.index(p) if p in x_pos else None for p in y_pos] if set(x_pos) & set(y_pos) else None
@@ -151,20 +185,19 @@ def _binder(x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP):
         groups = {}
         for row in t.disjuncts:
             groups.setdefault(xs(row), set()).add(ys(row))
-        return [(b, frozenset(groups[b])) for b in sorted(groups)]
+        return [(b, _answer(groups[b])) for b in sorted(groups)]
 
     def vague(t):
         lhs = list(map(sorted, xs(t.cells)))
         if math.prod(map(len, lhs)) > cap:
             raise ValuationBudgetExceeded(cap)
         rhs = ys(t.cells)
-        if at is None:  # the answer set is the same for every binding
-            answers = frozenset(itertools.product(*rhs))
-            return [(b, answers) for b in itertools.product(*lhs)]
-        return [(b, frozenset(itertools.product(*((b[k],) if k is not None else c for k, c in zip(at, rhs)))))
-                for b in itertools.product(*lhs)]
+        if at is None:  # the answer is the same for every binding
+            return zip(itertools.product(*lhs), itertools.repeat(_product(rhs)))
+        return ((b, _product(tuple(c if k is None else frozenset((b[k],)) for k, c in zip(at, rhs))))
+                for b in itertools.product(*lhs))
 
-    kernels = {StandardTuple: lambda t: [(xs(t.values), frozenset((ys(t.values),)))],
+    kernels = {StandardTuple: lambda t: ((xs(t.values), ys(t.values)),),
                DisjunctiveTuple: disjunctive, VagueTuple: vague}
     return lambda t: kernels[type(t)](t)
 
@@ -238,9 +271,9 @@ def check_standard(table: Table, fd: FunctionalDependency) -> bool:
     return find_standard_violation(table, fd) is None
 
 
-def _require_within(table: Table, cap: int) -> None:
+def _require_within(tuples: Iterable, cap: int) -> None:
     """Raise ValuationBudgetExceeded if a tuple has more than `cap` valuations."""
-    for t in table.tuples:
+    for t in tuples:
         if t.valuation_count() > cap:
             raise ValuationBudgetExceeded(cap)
 
@@ -257,12 +290,13 @@ def find_strong_violation(
     Valuations are independent per tuple, so a world violates the FD iff two
     distinct tuples share an lhs binding and their answer sets are not one and
     the same single row.  A larger answer set is replaced by a stand-in equal
-    to nothing else, which turns that test into `_first_disagreement`'s.
+    to nothing else, which turns that test into `_first_disagreement`'s.  The
+    kernel's answer form tells one row, every cell a singleton, in O(1).
     Linear in total lhs bindings; a tuple with more than `valuation_cap` lhs
     bindings raises ValuationBudgetExceeded."""
     x_pos, y_pos = _fd_positions(table.schema, fd)
     bind = _binder(x_pos, y_pos, valuation_cap)
-    pairs_of = lambda t: [(b, answers if len(answers) == 1 else object()) for b, answers in bind(t)]
+    pairs_of = lambda t: ((b, answer if _one_row(answer) else object()) for b, answer in bind(t))
     hit = _first_disagreement(table.tuples, pairs_of, "world-pair-disagrees")
     if hit is None:
         return None
@@ -327,7 +361,7 @@ def check_seamless(
     """
     fds = list(fds)
     getters = [tuple(map(_getter, _fd_positions(table.schema, fd))) for fd in fds]
-    _require_within(table, budget)
+    _require_within(table.tuples, budget)
     valuations = [list(t.valuations()) for t in table.tuples]
     domains = valuations.copy()  # lists are replaced, never changed in place
     # Per FD: binding -> the tuples with a valuation carrying it.  The entry
@@ -471,31 +505,57 @@ def check_pfd(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAU
 # ---------------------------------------------------------------------------
 
 
+def _valuation_order(c1: tuple, c2: tuple) -> int:
+    """Compare two vague tuples' valuation lists, their cells' sorted
+    products, in O(cell sizes): < 0, 0 or > 0.  From the last cell on, s
+    compares the lists over the cells so far: +-1 at a differing row, +-2
+    when one is a proper prefix of the other (-2: the first one), which the
+    next cell turns into a differing row unless the shorter list ends."""
+    s = 0
+    for x, y in zip(map(sorted, reversed(c1)), map(sorted, reversed(c2))):
+        if s == 0 or x[0] != y[0]:
+            s = 0 if x == y else -2 if y[:len(x)] == x else 2 if x[:len(y)] == y else -1 if x < y else 1
+        elif s in (-2, 2) and len(x if s < 0 else y) > 1:
+            s //= -2  # the shorter list goes on with a larger value
+    return s
+
+
 def find_vertical_violation(
     table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP
 ) -> Optional[Violation]:
     """Three conditions over the disjunctive form, read off the table's own
-    tuples in that form's order (sorted valuations: `Table`'s order unless
-    vague): cross-tuple answer-set agreement; per tuple and lhs binding, Z =
-    rhs-minus-lhs rows that are the product of their columns; and per tuple, the
-    MVD lhs ->> Z (each binding's rows are the product of their Z and rest
-    projections).  Only disjunctive tuples can break the per-tuple two, and only
-    a reported tuple is converted.  Cost: linear in total valuations; a tuple
-    with more than `valuation_cap` valuations raises ValuationBudgetExceeded."""
-    _require_within(table, valuation_cap)
-    tuples = sorted(table.tuples, key=lambda t: list(t.valuations())) if table.model is Model.VAGUE else table.tuples
+    tuples: cross-tuple answer-set agreement; per tuple and lhs binding, Z =
+    rhs-minus-lhs rows that are the product of their columns; and per tuple,
+    the MVD lhs ->> Z (each binding's rows are the product of their Z and
+    rest projections).  A vague or standard tuple's rows are the product of
+    its cells, so there vertical is the pfd pass, and only a violation sorts
+    vague tuples into the disjunctive form's order (sorted valuations:
+    `Table`'s order unless vague) to report the first pair there.  Only
+    reported tuples are converted.  Cost: linear in total lhs bindings, and
+    in total valuations on disjunctive tables; a disjunctive or reported
+    tuple with more than `valuation_cap` valuations, or a vague one with
+    more lhs bindings, raises ValuationBudgetExceeded."""
+    if table.model is Model.DISJUNCTIVE:
+        _require_within(table.tuples, valuation_cap)
     x_pos, y_pos = _fd_positions(table.schema, fd)
-    hit = _first_disagreement(tuples, _binder(x_pos, y_pos, valuation_cap), "answer-sets-differ")
+    bind = _binder(x_pos, y_pos, valuation_cap)
+    hit = _first_disagreement(table.tuples, bind, "answer-sets-differ")
+    if hit is not None and table.model is Model.VAGUE:
+        by_valuations = functools.cmp_to_key(_valuation_order)  # after the least rows, which decide most pairs
+        tuples = sorted(table.tuples, key=lambda t: (tuple(map(min, t.cells)), by_valuations(t.cells)))
+        if tuples != list(table.tuples):
+            hit = _first_disagreement(tuples, bind, hit.reason)
     if hit is not None:
+        _require_within(hit.tuples, valuation_cap)
         return Violation(hit.reason, tuple(map(to_disjunctive_tuple, hit.tuples)), hit.binding)
-    if table.model is not Model.DISJUNCTIVE:  # a vague tuple's rows are the product of its cells
+    if table.model is not Model.DISJUNCTIVE:
         return None
     z_pos = table.schema.positions(fd.rhs - fd.lhs)
     zw_pos = z_pos + tuple(p for p in range(len(table.schema)) if p not in x_pos and p not in z_pos)
     nz = len(z_pos)
     bind = _binder(x_pos, zw_pos, valuation_cap)
-    for t in tuples:
-        groups = [(b, {row[:nz] for row in rows}, rows) for b, rows in bind(t)]
+    for t in table.tuples:  # a product answer meets both conditions
+        groups = [(b, {row[:nz] for row in rows}, rows) for b, rows in bind(t) if type(rows) is frozenset]
         for b, z, _ in groups:
             if math.prod(len(set(column)) for column in zip(*z)) != len(z):
                 return Violation("not-a-product", (to_disjunctive_tuple(t),), b)

@@ -9,7 +9,8 @@ closure oracles repeat full passes over the FD list, and the proof checker
 rebuilds each rule's conclusion and compares it whole.  The worklist flood
 grows each valuation group by pairwise cell intersections, and the one-sweep
 flood shows why the valuation flood must take whole components.  rm's
-resemblance takes both overlap ratios of each pair of cells.
+resemblance takes both overlap ratios of each pair of cells.  The row-set
+index keeps every answer set whole, for any mix of tuple models.
 """
 
 import itertools
@@ -56,6 +57,60 @@ def answer_set(t, x_attrs, binding, y_attrs) -> frozenset:
         return frozenset()
     factors = [(bound[i],) if i in bound else sorted(_cell(t, i)) for i in y_pos]
     return frozenset(itertools.product(*factors))
+
+
+def answer_rows(answer) -> frozenset:
+    """The rows a binding kernel's answer stands for: a frozenset is its rows,
+    a tuple of value sets their product, a tuple of values one row."""
+    if isinstance(answer, frozenset):
+        return answer
+    if answer and isinstance(answer[0], frozenset):
+        return frozenset(itertools.product(*answer))
+    return frozenset((answer,))
+
+
+def canonical_answer(rows) -> object:
+    """The one form the kernel must give a non-empty row set: its one row;
+    the tuple of its column sets when it is their product; else the rows."""
+    rows = frozenset(rows)
+    if len(rows) == 1:
+        return next(iter(rows))
+    columns = tuple(frozenset(row[i] for row in rows) for i in range(len(next(iter(rows)))))
+    return columns if frozenset(itertools.product(*columns)) == rows else rows
+
+
+class RowSetIndex:
+    """`PfdIndex` by its definition: binding -> [row set, support count],
+    each answer t[X=b][Y] built whole by `answer_set`, whatever the tuple's
+    model.  `check` gives the first conflict as (binding, stored, offered)."""
+
+    def __init__(self, fd, schema):
+        self.x_attrs = tuple(schema.restrict(fd.lhs).attributes)
+        self.y_attrs = tuple(schema.restrict(fd.rhs).attributes)
+        self.table = {}
+
+    def contributions(self, t):
+        return [(b, answer_set(t, self.x_attrs, b, self.y_attrs)) for b in sorted(bindings(t, self.x_attrs))]
+
+    def check(self, t):
+        for b, answers in self.contributions(t):
+            if b in self.table and self.table[b][0] != answers:
+                return b, self.table[b][0], answers
+        return None
+
+    def insert(self, t):
+        assert self.check(t) is None
+        for b, answers in self.contributions(t):
+            self.table.setdefault(b, [answers, 0])[1] += 1
+
+    def remove(self, t):
+        for b, _ in self.contributions(t):
+            self.table[b][1] -= 1
+            if not self.table[b][1]:
+                del self.table[b]
+
+    def entries(self) -> dict:
+        return {b: tuple(entry) for b, entry in self.table.items()}
 
 
 def resemblance(a, b, variant=MAX_RESEMBLANCE) -> float:

@@ -13,7 +13,7 @@ two `PYTHONHASHSEED` values to catch output that depends on the hash seed.
 The cases, each run on both sides with that side's own parser and `Table`:
 
 * the CLI in-process (`cli.main`), capturing exit code, stdout and stderr:
-  `check` on every table under tests/data with every FD file, under all
+  `check` on every table under tests/data (but the wide one) with every FD file, under all
   seven semantics, as text and JSON, with the default cap and `--cap 3`;
   `valuate` on the same pairs; `worlds` plain, with `--limit 1` and with
   `--cap 3`; `closure` of every FD file from each attribute it names; and
@@ -40,7 +40,10 @@ from pathlib import Path
 DATA = Path(__file__).parent / "data"
 SEMANTICS = ("standard", "strong", "weak", "seamless", "pfd", "vertical", "rm")
 POOL = ("p", "q", "r", "s")
-TABLES = sorted(p for p in DATA.iterdir() if p.suffix in (".stab", ".vtab", ".dtab"))
+# Left out: wide_rhs.vtab, whose tuples have 8^7 valuations each, which the
+# library cases list by selecting every tuple onto the whole schema.
+# tests/test_semantics.py:TestWideRhs and the CI checks cover it.
+TABLES = sorted(p for p in DATA.iterdir() if p.suffix in (".stab", ".vtab", ".dtab") and p.name != "wide_rhs.vtab")
 
 
 def load(root: Path, name: str):

@@ -152,3 +152,14 @@ EARLY_DEAD_END = Table.vague(["A", "B", "C"], [
 # tuple 1 before that dead end (least budget 5); keyed by the plain size, the
 # empty domain is branched on at once (least budget 4).
 EMPTY_DOMAIN_FIRST = Table.vague(["A"], [({"a", "b"},), ({"a", "b", "c"},), ({"b", "c"},)])
+
+
+def wide_rhs(width: int) -> tuple:
+    """(table, A0 -> A1 ... A{width}): two vague tuples sharing the binding
+    A0 = k, each rhs cell {v0|...|v7}, so each tuple's answer set under k
+    has 8**width rows.  pfd and vertical hold, strong does not.
+    `tests/data/wide_rhs.vtab` and `.fds` hold width 7."""
+    rhs = [f"A{i}" for i in range(1, width + 1)]
+    cell = {f"v{i}" for i in range(8)}
+    table = Table.vague(["A0", *rhs], [("k", *[cell] * width), ({"j", "k"}, *[cell] * width)])
+    return table, FunctionalDependency({"A0"}, rhs)

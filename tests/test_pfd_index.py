@@ -1,22 +1,27 @@
 """Enforcement index: counter semantics, atomic rejection, oracle agreement."""
 
+import collections
+import itertools
 import random
 
 import pytest
 
 from fdlab import (
     Conflict,
+    DisjunctiveTuple,
     IndexContractError,
     Model,
     PfdIndex,
     PfdRejected,
     Schema,
     SchemaError,
+    StandardTuple,
     Table,
     VagueTuple,
     check_pfd,
 )
 
+import oracles as O
 import tables as T
 from insert_bench import bench_inserts
 from tables import fd
@@ -270,6 +275,72 @@ class TestOracleAgreement:
         for t in T.NO_JOINT_WORLD.tuples:
             idx.insert(t)
         assert idx == PfdIndex.rebuild(T.AB, T.NO_JOINT_WORLD.schema, T.NO_JOINT_WORLD.tuples)
+
+
+ABC = Schema(("A", "B", "C"))
+
+
+def mixed_tuple(rng):
+    """A standard, vague or disjunctive tuple over A, B, C.  A disjunctive one
+    holds all of a vague tuple's valuations, so its answers are products, or
+    a random part of them, so some are not."""
+    cells = [frozenset(rng.sample(("p", "q"), rng.randint(1, 2))) for _ in ABC]
+    kind = rng.randrange(4)
+    if kind == 0:
+        return StandardTuple(ABC, [rng.choice(sorted(c)) for c in cells])
+    if kind == 1:
+        return VagueTuple(ABC, cells)
+    rows = list(itertools.product(*map(sorted, cells)))
+    return DisjunctiveTuple(ABC, rows if kind == 2 else rng.sample(rows, rng.randint(1, len(rows))))
+
+
+class TestMixedModels:
+    def test_answers_compare_across_models(self):
+        # A standard tuple's answer is a vague one's with the same singleton
+        # cells; a disjunctive product is the vague tuple of its cells; any
+        # other disjunctive answer is its own row set.
+        idx = PfdIndex(fd("A", "B C"), ABC)
+        idx.insert(StandardTuple(ABC, ("a", "b", "c")))
+        assert idx.check(VagueTuple(ABC, ("a", "b", "c"))) is None
+        assert idx.check(DisjunctiveTuple(ABC, [("a", "b", "c")])) is None
+        square = frozenset(itertools.product(("b1", "b2"), ("c1", "c2")))
+        diagonal = frozenset({("b1", "c1"), ("b2", "c2")})
+        idx.insert(VagueTuple(ABC, ("x", {"b1", "b2"}, {"c1", "c2"})))
+        assert idx.check(DisjunctiveTuple(ABC, [("x",) + row for row in square])) is None
+        assert idx.check(DisjunctiveTuple(ABC, [("x",) + row for row in diagonal])) == Conflict(("x",), square, diagonal)
+        idx.insert(DisjunctiveTuple(ABC, [("y",) + row for row in diagonal]))
+        assert idx.check(VagueTuple(ABC, ("y", {"b1", "b2"}, {"c1", "c2"}))) == Conflict(("y",), diagonal, square)
+        assert idx.entries() == {("a",): (frozenset({("b", "c")}), 1), ("x",): (square, 1), ("y",): (diagonal, 1)}
+
+    @pytest.mark.parametrize("target", [fd("A", "B"), fd("A", "B C"), fd("A B", "C"), fd("A", "A B")])
+    def test_random_mixed_sequences_match_the_row_set_index(self, target):
+        rng = random.Random(23)
+        kinds = collections.Counter()
+        for _ in range(40):
+            idx, oracle, live = PfdIndex(target, ABC), O.RowSetIndex(target, ABC), []
+            for _ in range(rng.randint(1, 25)):
+                if live and rng.random() < 0.25:
+                    victim = live.pop(rng.randrange(len(live)))
+                    idx.remove(victim)
+                    oracle.remove(victim)
+                else:
+                    t = mixed_tuple(rng)
+                    want = oracle.check(t)
+                    want = None if want is None else Conflict(*want)
+                    assert idx.check(t) == want
+                    assert offer(idx, t) == want
+                    kinds[type(t).__name__, want is None] += 1
+                    if isinstance(t, DisjunctiveTuple):
+                        for _, rows in oracle.contributions(t):
+                            kinds[len(rows) > 1 and type(O.canonical_answer(rows)).__name__] += 1
+                    if want is None:
+                        oracle.insert(t)
+                        live.append(t)
+                assert idx.entries() == oracle.entries()
+        assert min(kinds[name, ok] for name in ("StandardTuple", "VagueTuple", "DisjunctiveTuple")
+                   for ok in (True, False)) > 5
+        # Disjunctive answers of several rows: products, and others where Y - X has two attributes.
+        assert kinds["tuple"] > 20 and (kinds["frozenset"] > 10) == (len(target.rhs - target.lhs) > 1)
 
 
 def test_bench_report_shape():

@@ -1,7 +1,10 @@
 """Checker semantics: worked-table verdicts, selection, resemblance, dispatcher."""
 
+import functools
+import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +29,8 @@ from fdlab import (
     check_vertical,
     check_weak,
     enumerate_worlds,
+    parse_fds,
+    parse_table,
     project_table,
     resemblance,
     select,
@@ -34,7 +39,7 @@ from fdlab import (
     tuple_resemblance,
 )
 from fdlab import semantics
-from fdlab.semantics import find_pfd_violation, find_vertical_violation
+from fdlab.semantics import _valuation_order, find_pfd_violation, find_vertical_violation
 
 import tables as T
 from oracles import check_pfd_decomposed
@@ -320,6 +325,29 @@ class TestVertical:
         assert not check_vertical(T.SINGLE_VERTICAL, T.AB)
         assert len(calls) == 2 * len(T.SINGLE_VERTICAL.tuples)
 
+    def test_valuation_order_compares_without_listing(self):
+        # Cells of one value make one list a prefix of another, which the
+        # walk from the last cell must carry to the cells before it.
+        rng = random.Random(5)
+        for _ in range(300):
+            width = rng.randint(1, 3)
+            tuples = [[rng.sample("abc", rng.randint(1, 3)) for _ in range(width)] for _ in range(6)]
+            by_order = functools.cmp_to_key(_valuation_order)
+            got = sorted(tuples, key=by_order)
+            assert got == sorted(tuples, key=lambda cells: list(itertools.product(*map(sorted, cells))))
+
+    def test_a_wide_tuple_outside_the_witness_does_not_stop_vertical(self):
+        # The third tuple has 8^4 valuations, over the cap of 100; only a
+        # reported tuple is converted, so only a reported one is capped.
+        wide = {f"v{i}" for i in range(8)}
+        small = [("a", "x", "c", "d", "e"), ("a", "y", "c", "d", "e")]
+        r = Table.vague(["A", "B", "C", "D", "E"], [*small, ("w", wide, wide, wide, wide)])
+        v = find_vertical_violation(r, T.AB, valuation_cap=100)
+        assert v.render() == "answer-sets-differ t1=((a,x,c,d,e)) t2=((a,y,c,d,e)) binding=(a)"
+        r = Table.vague(["A", "B", "C", "D", "E"], [*small, ("a", wide, wide, wide, wide)])
+        with pytest.raises(ValuationBudgetExceeded):
+            find_vertical_violation(r, T.AB, valuation_cap=100)
+
     def test_vertical_known_discrepancy_on_ssn_table(self):
         # Known discrepancy: evaluated literally, all three conditions hold
         # here (the per-tuple dependency is trivial because the fd spans the
@@ -328,6 +356,27 @@ class TestVertical:
         # literal reading; this is intentionally NOT an assertion that the
         # table ought to fail.
         assert check_vertical(T.SSN_NAMES, T.SSN_NAMES_FD) is True
+
+
+class TestWideRhs:
+    @pytest.mark.parametrize("width", [6, 7])
+    def test_answers_are_linear_in_the_rhs_width(self, width):
+        # 8^6 and 8^7 answer rows per tuple: built whole, they took seconds
+        # and hundreds of MB; as rhs cells, they compare in O(width).
+        table, f = T.wide_rhs(width)
+        for checker, holds in ((check_pfd, True), (check_strong, False), (check_vertical, True)):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                assert checker(table, f) is holds
+                times.append(time.perf_counter() - start)
+            assert min(times) < 0.005, (checker.__name__, times)
+
+    def test_data_file_is_the_widest_case(self):
+        data = Path(__file__).parent / "data"
+        table, f = T.wide_rhs(7)
+        assert parse_table((data / "wide_rhs.vtab").read_text()) == table
+        assert parse_fds((data / "wide_rhs.fds").read_text()) == [f]
 
 
 class TestResemblance:
