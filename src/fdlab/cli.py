@@ -4,9 +4,9 @@ Exit codes: 0 every dependency satisfied (or witness found), 1 a dependency
 violated or no witness exists, 2 usage, parse, model, or budget errors, and
 any unexpected error (its traceback goes to stderr).  `check --cap N` sets
 the valuation cap: lhs bindings per tuple for pfd and strong, both
-valuations per tuple and search steps for seamless and weak, lhs bindings per
-vague tuple and valuations per disjunctive or reported tuple for vertical,
-pairs compared for rm.  `worlds --cap N` bounds the
+valuations per tuple and search steps for seamless and weak, lhs bindings
+per vague tuple, and the valuations of each reported vague tuple for
+vertical, pairs compared for rm.  `worlds --cap N` bounds the
 valuations of the whole table, one product step each.  Without --cap the
 FDLAB_WORLD_CAP environment variable sets it, else the default of 1,000,000
 applies.  A cap below 1 is a usage error.  Input files are read as UTF-8,
@@ -34,13 +34,11 @@ EXIT_VIOLATED = 1
 EXIT_ERROR = 2
 
 
-def _at_least(low: int):
-    """An argparse type: an integer of at least `low`."""
-    def value(text: str) -> int:
-        if not text.strip().isdecimal() or int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
-        return int(text)
-    return value
+def _positive(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _names(text: str) -> list:
@@ -56,7 +54,7 @@ def _world_cap(args) -> int:
     if args.cap is not None or env is None:
         return args.cap or DEFAULT_VALUATION_CAP
     try:
-        return _at_least(1)(env)
+        return _positive(env)
     except argparse.ArgumentTypeError as exc:
         raise FdlabError(f"FDLAB_WORLD_CAP {exc}") from None
 
@@ -87,12 +85,9 @@ def cmd_check(args) -> int:
     fds = parse_fds(_read(args.fds))
     report = check(table, fds, Semantics(args.semantics), valuation_cap=_world_cap(args))
     if args.format == "text":
-        _emit(args.out, report.to_text(timing=args.timing))
+        _emit(args.out, report.to_text(args.timing))
     else:
-        payload = report.to_dict()
-        if args.timing:
-            payload["elapsed_ms"] = round(report.elapsed_s * 1000, 3)
-        _emit(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit(args.out, json.dumps(report.to_dict(args.timing), sort_keys=True, indent=2) + "\n")
     return EXIT_OK if report.satisfied else EXIT_VIOLATED
 
 
@@ -150,15 +145,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, table=False, fds=False):
+    def add_common(p, table=False, fds=False, cap=False):
         if table:
             p.add_argument("--table", required=True, help="table file (.stab/.vtab/.dtab)")
         if fds:
             p.add_argument("--fds", required=True, help="dependency file")
+        if cap:
+            p.add_argument("--cap", type=_positive, help="valuation cap (wins over FDLAB_WORLD_CAP)")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("check", help="check dependencies under a chosen semantics")
-    add_common(p, table=True, fds=True)
+    add_common(p, table=True, fds=True, cap=True)
     p.add_argument(
         "--semantics",
         required=True,
@@ -167,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--timing", action="store_true", help="include elapsed time in the report")
-    p.add_argument("--cap", type=_at_least(1), help="valuation cap (wins over FDLAB_WORLD_CAP)")
     p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("valuate", help="produce one world satisfying all pfds")
@@ -176,9 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_valuate)
 
     p = sub.add_parser("worlds", help="enumerate distinct possible worlds")
-    add_common(p, table=True)
-    p.add_argument("--limit", type=_at_least(1), help="fail once more distinct worlds exist")
-    p.add_argument("--cap", type=_at_least(1), help="valuation cap (wins over FDLAB_WORLD_CAP)")
+    add_common(p, table=True, cap=True)
+    p.add_argument("--limit", type=_positive, help="fail once more distinct worlds exist")
     p.set_defaults(run=cmd_worlds)
 
     p = sub.add_parser("closure", help="attribute closure under a dependency set")

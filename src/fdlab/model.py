@@ -22,6 +22,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -253,19 +254,14 @@ class Table:
         object.__setattr__(self, "tuples", tuple(sorted(unique, key=key)))
 
     @classmethod
-    def standard(cls, attrs: Iterable[str], rows: Iterable[Sequence[str]]) -> "Table":
+    def _of(cls, model: Model, attrs: Iterable[str], rows: Iterable) -> "Table":
+        """The `model` table of `rows`, each checked by the model's tuple constructor."""
         schema = attrs if isinstance(attrs, Schema) else Schema(attrs)
-        return cls(schema, Model.STANDARD, (StandardTuple(schema, r) for r in rows))
+        return cls(schema, model, (_MODEL_TYPES[model](schema, r) for r in rows))
 
-    @classmethod
-    def vague(cls, attrs: Iterable[str], rows: Iterable[Sequence]) -> "Table":
-        schema = attrs if isinstance(attrs, Schema) else Schema(attrs)
-        return cls(schema, Model.VAGUE, (VagueTuple(schema, r) for r in rows))
-
-    @classmethod
-    def disjunctive(cls, attrs: Iterable[str], rows: Iterable[Iterable[Sequence[str]]]) -> "Table":
-        schema = attrs if isinstance(attrs, Schema) else Schema(attrs)
-        return cls(schema, Model.DISJUNCTIVE, (DisjunctiveTuple(schema, r) for r in rows))
+    standard = functools.partialmethod(_of, Model.STANDARD)
+    vague = functools.partialmethod(_of, Model.VAGUE)
+    disjunctive = functools.partialmethod(_of, Model.DISJUNCTIVE)
 
     def __len__(self) -> int:
         return len(self.tuples)

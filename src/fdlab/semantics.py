@@ -123,14 +123,19 @@ def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[st
     """t[X=binding], projected on `onto` (defaults to the full schema): the
     onto projection of `_rows_under`, so a vague tuple's cells outside X and
     onto contribute one value each.  The binding gives one value per
-    attribute of X, in schema order; any other length raises SchemaError."""
+    attribute of X, in schema order; any other length raises SchemaError.
+    More than DEFAULT_VALUATION_CAP rows of a vague tuple raise ValuationBudgetExceeded."""
     y_pos = tuple(range(len(t.schema))) if onto is None else t.schema.positions(onto)
     x_pos = t.schema.positions(x_attrs)
     x_norm = tuple(t.schema.attributes[i] for i in x_pos)
     binding = tuple(binding)
     if len(binding) != len(x_norm):
         raise SchemaError(f"binding {binding} has {len(binding)} values for the {len(x_norm)} attributes {x_norm}")
-    answers = frozenset(tuple(row[i] for i in y_pos) for row in _rows_under(t, x_pos, binding, y_pos))
+    rows = _rows_under(t, x_pos, binding, y_pos)  # () when a bound value is outside its cell
+    if isinstance(t, VagueTuple) and rows != () and math.prod(
+            len(t.cells[p]) for p in y_pos if p not in x_pos) > DEFAULT_VALUATION_CAP:
+        raise ValuationBudgetExceeded(DEFAULT_VALUATION_CAP)
+    answers = frozenset(tuple(row[i] for i in y_pos) for row in rows)
     return SelectionResult(x_norm, binding, tuple(t.schema.attributes[i] for i in y_pos), answers)
 
 
@@ -532,11 +537,9 @@ def find_vertical_violation(
     vague tuples into the disjunctive form's order (sorted valuations:
     `Table`'s order unless vague) to report the first pair there.  Only
     reported tuples are converted.  Cost: linear in total lhs bindings, and
-    in total valuations on disjunctive tables; a disjunctive or reported
-    tuple with more than `valuation_cap` valuations, or a vague one with
-    more lhs bindings, raises ValuationBudgetExceeded."""
-    if table.model is Model.DISJUNCTIVE:
-        _require_within(table.tuples, valuation_cap)
+    in total valuations on disjunctive tables.  `valuation_cap` bounds the
+    lhs bindings per vague tuple, and the valuations of each reported vague
+    tuple; past it, ValuationBudgetExceeded is raised."""
     x_pos, y_pos = _fd_positions(table.schema, fd)
     bind = _binder(x_pos, y_pos, valuation_cap)
     hit = _first_disagreement(table.tuples, bind, "answer-sets-differ")
@@ -545,15 +548,15 @@ def find_vertical_violation(
         tuples = sorted(table.tuples, key=lambda t: (tuple(map(min, t.cells)), by_valuations(t.cells)))
         if tuples != list(table.tuples):
             hit = _first_disagreement(tuples, bind, hit.reason)
-    if hit is not None:
         _require_within(hit.tuples, valuation_cap)
+    if hit is not None:
         return Violation(hit.reason, tuple(map(to_disjunctive_tuple, hit.tuples)), hit.binding)
     if table.model is not Model.DISJUNCTIVE:
         return None
     z_pos = table.schema.positions(fd.rhs - fd.lhs)
     zw_pos = z_pos + tuple(p for p in range(len(table.schema)) if p not in x_pos and p not in z_pos)
     nz = len(z_pos)
-    bind = _binder(x_pos, zw_pos, valuation_cap)
+    bind = _binder(x_pos, zw_pos)
     for t in table.tuples:  # a product answer meets both conditions
         groups = [(b, {row[:nz] for row in rows}, rows) for b, rows in bind(t) if type(rows) is frozenset]
         for b, z, _ in groups:
@@ -612,6 +615,8 @@ def tuple_resemblance(t1, t2, attrs: Iterable[str], variant: str = MAX_RESEMBLAN
     pos = t1.schema.positions(attrs)
     if isinstance(t1, DisjunctiveTuple) or isinstance(t2, DisjunctiveTuple):
         raise ModelError("tuple resemblance is defined for vague tuples")
+    if t2.schema.attributes != t1.schema.attributes:
+        raise SchemaError(f"tuple schema {t2.schema.attributes} differs from first tuple schema {t1.schema.attributes}")
     return _overlap(_cells(t1), _cells(t2), pos, variant)
 
 
@@ -708,8 +713,8 @@ class CheckReport:
     def satisfied(self) -> bool:
         return all(v.holds for v in self.verdicts)
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self, timing: bool = False) -> dict:
+        out = {
             "model": self.model.value,
             "semantics": self.semantics.value,
             "satisfied": self.satisfied,
@@ -723,6 +728,9 @@ class CheckReport:
                 for v in self.verdicts
             ],
         }
+        if timing:
+            out["elapsed_ms"] = round(self.elapsed_s * 1000, 3)
+        return out
 
     def to_text(self, timing: bool = False) -> str:
         lines = [

@@ -24,7 +24,7 @@ from fdlab.armstrong import (
     _RULES, AUGMENTATION, GIVEN, REFLEXIVITY, TRANSITIVITY, Derivation, DerivationStep,
 )
 from fdlab.model import to_disjunctive
-from fdlab.semantics import DEFAULT_VALUATION_CAP, MAX_RESEMBLANCE, Violation, _require_within
+from fdlab.semantics import DEFAULT_VALUATION_CAP, MAX_RESEMBLANCE, Violation
 from fdlab.valuation import DEFAULT_SEED
 
 
@@ -240,7 +240,8 @@ def _world_rows_violate(rows, x_pos, y_pos):
 def _capped_worlds(table, cap):
     """Valuation worlds in deterministic order; raises once `cap` valuations
     have been consumed without the caller settling on an answer."""
-    _require_within(table, cap)
+    if any(t.valuation_count() > cap for t in table.tuples):
+        raise ValuationBudgetExceeded(cap)
     choices = [[t.values] if isinstance(t, StandardTuple) else list(t.valuations()) for t in table.tuples]
     for count, combo in enumerate(itertools.product(*choices), start=1):
         if count > cap:

@@ -264,6 +264,15 @@ class TestCliCheck:
             ) == 2
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_cap_leaves_vertical_on_disjunctive_tuples_alone(self, fmt):
+        # The second tuple has 4 disjuncts, over the cap of 3; they are
+        # written out, so vertical's pass over them is linear and uncapped.
+        assert run_cli(
+            "check", "--table", str(DATA / "ssn_names.dtab"), "--fds", str(DATA / "ssn_names.fds"),
+            "--semantics", "vertical", "--cap", "3", "--format", fmt,
+        ) == 0
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_timing_is_reported_only_on_request(self, fmt, capsys):
         argv = ["check", "--table", str(DATA / "joejack.vtab"), "--fds", str(DATA / "joejack.fds"),
                 "--semantics", "pfd", "--format", fmt]

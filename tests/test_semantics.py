@@ -348,6 +348,15 @@ class TestVertical:
         with pytest.raises(ValuationBudgetExceeded):
             find_vertical_violation(r, T.AB, valuation_cap=100)
 
+    @pytest.mark.parametrize("table, f", [
+        (T.SSN_NAMES, T.SSN_NAMES_FD), (T.NO_JOINT_WORLD, T.AB), (T.AUGMENTATION_TRAP, T.AUGMENTATION_TRAP_ABCB),
+        (T.SINGLE_VERTICAL, T.AB),
+    ])
+    def test_the_cap_leaves_disjunctive_tuples_alone(self, table, f):
+        # Every tuple here has more disjuncts than the cap of 1.  They are
+        # written out, so vertical's pass over them is linear and uncapped.
+        assert find_vertical_violation(table, f, valuation_cap=1) == find_vertical_violation(table, f)
+
     def test_vertical_known_discrepancy_on_ssn_table(self):
         # Known discrepancy: evaluated literally, all three conditions hold
         # here (the per-tuple dependency is trivial because the fd spans the
@@ -371,6 +380,17 @@ class TestWideRhs:
                 assert checker(table, f) is holds
                 times.append(time.perf_counter() - start)
             assert min(times) < 0.005, (checker.__name__, times)
+
+    def test_select_counts_a_vague_tuples_rows_before_listing_them(self):
+        # 8^7 rows are over the default cap and raise before the first row;
+        # 8^6 are listed; a binding outside its cell selects none.
+        t = T.wide_rhs(7)[0].tuples[0]
+        start = time.perf_counter()
+        with pytest.raises(ValuationBudgetExceeded):
+            select(t, ["A0"], ("k",))
+        assert time.perf_counter() - start < 0.05
+        assert select(t, ["A0"], ("z",)).answers == frozenset()
+        assert len(select(T.wide_rhs(6)[0].tuples[0], ["A0"], ("k",)).answers) == 8 ** 6
 
     def test_data_file_is_the_widest_case(self):
         data = Path(__file__).parent / "data"
@@ -409,6 +429,15 @@ class TestResemblance:
         t2 = VagueTuple(Schema(("A", "B")), ({"a", "a2"}, {"b3"}))
         assert tuple_resemblance(t1, t2, {"A", "B"}) == 0.0
         assert tuple_resemblance(t1, t2, {"A"}) == 1.0
+
+    @pytest.mark.parametrize("t2, attrs", [
+        (VagueTuple(Schema(("B", "A")), ({"a"}, {"b"})), {"A"}),  # read at t1's positions, it scored 1.0
+        (VagueTuple(Schema(("A",)), ({"a"},)), {"A", "B"}),  # read at t1's positions, it raised IndexError
+    ])
+    def test_tuple_form_needs_one_schema(self, t2, attrs):
+        t1 = VagueTuple(Schema(("A", "B")), ({"a"}, {"b"}))
+        with pytest.raises(SchemaError, match=r"^tuple schema \(.*\) differs from first tuple schema \('A', 'B'\)$"):
+            tuple_resemblance(t1, t2, attrs)
 
     def test_tuple_form_rejects_disjunctive_tuples(self):
         t = VagueTuple(Schema(("A",)), ({"a"},))
@@ -526,6 +555,13 @@ class TestDispatcher:
         report = check(T.AUGMENTATION_TRAP, T.AUGMENTATION_TRAP_ABCB, Semantics.PFD)
         text = report.to_text()
         assert "holds: false" in text and "violation:" in text
+
+    def test_report_dict_carries_elapsed_ms_only_on_request(self):
+        report = check(T.JOEJACK, T.JOEJACK_FD, Semantics.PFD)
+        assert "elapsed_ms" not in report.to_dict()
+        timed = report.to_dict(timing=True)
+        assert timed.pop("elapsed_ms") == round(report.elapsed_s * 1000, 3)
+        assert timed == report.to_dict()
 
     def test_report_dict_is_deterministic(self):
         a = check(T.AUGMENTATION_TRAP, [T.AUGMENTATION_TRAP_AC, T.AUGMENTATION_TRAP_ABCB], Semantics.PFD).to_dict()
