@@ -7,11 +7,10 @@ the valuation cap: lhs bindings per tuple for pfd and strong, both
 valuations per tuple and search steps for seamless and weak, lhs bindings
 per vague tuple, and the valuations of each reported vague tuple for
 vertical, pairs compared for rm.  `worlds --cap N` bounds the
-valuations of the whole table, one product step each.  Without --cap the
-FDLAB_WORLD_CAP environment variable sets it, else the default of 1,000,000
-applies.  A cap below 1 is a usage error.  Input files are read as UTF-8,
-with or without a byte-order mark.  A command imports the modules it runs
-when it runs, so `check` never loads `armstrong` or `valuation`.
+valuations of the whole table, one product step each.  The cap defaults to
+1,000,000, and a cap below 1 is a usage error.  Input files are read as
+UTF-8, with or without a byte-order mark.  A command imports the modules it
+runs when it runs, so `check` never loads `armstrong` or `valuation`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -49,16 +47,6 @@ def _names(text: str) -> list:
     return names
 
 
-def _world_cap(args) -> int:
-    env = os.environ.get("FDLAB_WORLD_CAP")
-    if args.cap is not None or env is None:
-        return args.cap or DEFAULT_VALUATION_CAP
-    try:
-        return _positive(env)
-    except argparse.ArgumentTypeError as exc:
-        raise FdlabError(f"FDLAB_WORLD_CAP {exc}") from None
-
-
 def _read(path: str) -> str:
     """The text of an input file: UTF-8, without a leading byte-order mark."""
     try:
@@ -83,7 +71,7 @@ def _emit(out: Optional[str], text: str) -> None:
 def cmd_check(args) -> int:
     table = _load_table(args.table)
     fds = parse_fds(_read(args.fds))
-    report = check(table, fds, Semantics(args.semantics), valuation_cap=_world_cap(args))
+    report = check(table, fds, Semantics(args.semantics), valuation_cap=args.cap)
     if args.format == "text":
         _emit(args.out, report.to_text(args.timing))
     else:
@@ -107,7 +95,7 @@ def cmd_valuate(args) -> int:
 
 def cmd_worlds(args) -> int:
     table = _load_table(args.table)
-    worlds = enumerate_worlds(table, limit=args.limit, cap=_world_cap(args))
+    worlds = enumerate_worlds(table, limit=args.limit, cap=args.cap)
     chunks = []
     for i, world in enumerate(worlds, start=1):
         chunks.append(f"# world {i} of {len(worlds)}\n" + serialize_table(world))
@@ -151,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         if fds:
             p.add_argument("--fds", required=True, help="dependency file")
         if cap:
-            p.add_argument("--cap", type=_positive, help="valuation cap (wins over FDLAB_WORLD_CAP)")
+            p.add_argument("--cap", type=_positive, default=DEFAULT_VALUATION_CAP, help="valuation cap")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("check", help="check dependencies under a chosen semantics")

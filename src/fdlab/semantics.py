@@ -560,10 +560,10 @@ def find_vertical_violation(
     for t in table.tuples:  # a product answer meets both conditions
         groups = [(b, {row[:nz] for row in rows}, rows) for b, rows in bind(t) if type(rows) is frozenset]
         for b, z, _ in groups:
-            if math.prod(len(set(column)) for column in zip(*z)) != len(z):
-                return Violation("not-a-product", (to_disjunctive_tuple(t),), b)
+            if type(_answer(z)) is frozenset:
+                return Violation("not-a-product", (t,), b)
         if any(len(z) * len({row[nz:] for row in rows}) != len(rows) for _, z, rows in groups):
-            return Violation("mvd-fails", (to_disjunctive_tuple(t),))
+            return Violation("mvd-fails", (t,))
     return None
 
 

@@ -210,19 +210,15 @@ class TestCliCheck:
             "--semantics", "standard",
         ) == 2
 
-    def test_world_cap_env_triggers_budget_error(self, monkeypatch):
-        monkeypatch.setenv("FDLAB_WORLD_CAP", "1")
-        assert run_cli(
-            "check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(DATA / "chain.fds"),
-            "--semantics", "strong",
-        ) == 2
-
-    def test_explicit_cap_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("FDLAB_WORLD_CAP", "1")
-        assert run_cli(
-            "check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(DATA / "chain.fds"),
-            "--semantics", "strong", "--cap", "1000",
-        ) == 1
+    def test_the_retired_cap_variable_is_ignored(self, monkeypatch):
+        # `--cap` is the cap's only source: FDLAB_WORLD_CAP, even below 1, leaves the default in force.
+        for env in ("1", "0"):
+            monkeypatch.setenv("FDLAB_WORLD_CAP", env)
+            assert run_cli(
+                "check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(DATA / "chain.fds"),
+                "--semantics", "strong",
+            ) == 1
+            assert run_cli("worlds", "--table", str(DATA / "transitivity_trap.vtab")) == 0
 
     @pytest.mark.parametrize("cap", ["0", "-3", "many"])
     def test_cap_must_be_a_positive_integer(self, cap, capsys):
@@ -231,13 +227,6 @@ class TestCliCheck:
             "--semantics", "strong", "--cap", cap,
         ) == 2
         assert "--cap" in capsys.readouterr().err
-
-    def test_env_cap_below_one_is_an_error(self, monkeypatch):
-        monkeypatch.setenv("FDLAB_WORLD_CAP", "0")
-        assert run_cli(
-            "check", "--table", str(DATA / "transitivity_trap.vtab"), "--fds", str(DATA / "chain.fds"),
-            "--semantics", "strong",
-        ) == 2
 
     def test_json_like_format_is_gone(self):
         assert run_cli(
@@ -401,12 +390,10 @@ class TestCliWorldsClosureGen3dm:
     def test_worlds_limit_exits_two(self):
         assert run_cli("worlds", "--table", str(DATA / "transitivity_trap.vtab"), "--limit", "2") == 2
 
-    @pytest.mark.parametrize("cap, env, want", [("3", None, 2), ("4", None, 0), (None, "3", 2), ("4", "3", 0)])
-    def test_worlds_cap_is_resolved_as_check_resolves_it(self, cap, env, want, monkeypatch, capsys):
-        if env is not None:
-            monkeypatch.setenv("FDLAB_WORLD_CAP", env)
+    @pytest.mark.parametrize("cap, want", [("3", 2), ("4", 0)])
+    def test_worlds_cap_is_resolved_as_check_resolves_it(self, cap, want, capsys):
         argv = ["worlds", "--table", str(DATA / "transitivity_trap.vtab")]  # four valuations
-        assert run_cli(*argv, *(["--cap", cap] if cap else [])) == want
+        assert run_cli(*argv, "--cap", cap) == want
         assert ("valuation budget of 3 exhausted" in capsys.readouterr().err) == (want == 2)
 
     def test_worlds_past_the_default_cap_exits_two_at_once(self):

@@ -12,6 +12,7 @@ On every vague table of `tables.py`, and on every vague table over A, B, C
 with values {0, 1} and one or two tuples, pfd's verdicts meet all three."""
 
 import itertools
+from collections import Counter
 
 from fdlab import (
     FunctionalDependency, Model, Table, check_pfd, check_rm, check_seamless, check_strong, check_vertical, check_weak,
@@ -19,7 +20,7 @@ from fdlab import (
 )
 
 import tables as T
-from gen import small_vague_tables
+from gen import SMALL_ATTRS, small_vague_tables
 
 
 def with_projections(pairs) -> list:
@@ -136,3 +137,40 @@ def test_vertical_is_pfd_on_every_small_vague_table():
     pairs = every_fd(small_vague_tables(canonical=False))
     assert len(pairs) == 21168
     assert [(table, f) for table, f in pairs if check_vertical(table, f) != check_pfd(table, f)] == []
+
+
+def armstrong_failures(tables, check) -> dict:
+    """Failing instances of reflexivity (X -> Y, Y within X), augmentation
+    (X -> Y holds but XZ -> YZ does not, every Z) and transitivity (X -> Y
+    and Y -> Z hold but X -> Z does not) under `check`, over every table
+    and every X, Y, Z of SMALL_ATTRS (Y and Z non-empty where they are
+    rhs).  Verdicts are memoised per (table index, FD)."""
+    subsets = [frozenset(s) for s in _subsets(SMALL_ATTRS)]
+    memo = {}
+
+    def holds(i, x, y):
+        if (i, x, y) not in memo:
+            memo[i, x, y] = check(tables[i], FunctionalDependency(x, y))
+        return memo[i, x, y]
+
+    failures = Counter()
+    for i, x, y in itertools.product(range(len(tables)), subsets, subsets[1:]):
+        failures["reflexivity"] += y <= x and not holds(i, x, y)
+        if holds(i, x, y):
+            failures["augmentation"] += sum(not holds(i, x | z, y | z) for z in subsets)
+            failures["transitivity"] += sum(holds(i, y, z) and not holds(i, x, z) for z in subsets[1:])
+    return dict(+failures)
+
+
+def test_armstrong_rules_on_every_small_vague_table():
+    """README's "obey the three classical inference rules", over the whole
+    small vague scope rather than a sample: pfd, strong, vertical and rm
+    break none of reflexivity, augmentation and transitivity, and weak
+    breaks transitivity (so the check can fail)."""
+    tables = small_vague_tables()
+    assert len(tables) == 76
+    checks = {"pfd": check_pfd, "strong": check_strong, "vertical": check_vertical, "rm": check_rm,
+              "weak": check_weak}
+    assert {name: armstrong_failures(tables, check) for name, check in checks.items()} == {
+        "pfd": {}, "strong": {}, "vertical": {}, "rm": {}, "weak": {"transitivity": 408},
+    }
