@@ -84,20 +84,24 @@ def test_vertical_and_gen3dm(fdlab, tmp_path):
     assert proc.stderr.rstrip("\n") == "fdlab: element sets must be disjoint"
 
 
-def test_seamless_steps_and_closure_names(fdlab):
-    # Three search steps, two valuations per tuple: the step count sets the boundary.
-    argv = ["check", "--table", "tests/data/valuation_demo.vtab", "--fds", "tests/data/valuation_demo.fds",
-            "--semantics", "seamless"]
+def test_seamless_steps_and_closure_names(fdlab, tmp_path):
+    # B -> A fails as a pfd, so the search runs: three steps, two valuations
+    # per tuple, and the step count sets the boundary.
+    fds = tmp_path / "ba.fds"
+    fds.write_text("B -> A\n")
+    argv = ["check", "--table", "tests/data/valuation_demo.vtab", "--fds", str(fds), "--semantics", "seamless"]
     assert fdlab(*argv, "--cap", "3").returncode == 0
     assert fdlab(*argv, "--cap", "2").returncode == 2
     assert fdlab("closure", "--fds", "tests/data/chain.fds", "--attrs", "").returncode == 2
 
 
 def test_weak_cap_counts_valuations_not_free_standing_tuples(fdlab, tmp_path):
-    # Distinct A values: each tuple is free-standing and takes its least
-    # valuation outside the search, so the cap bounds only the two valuations.
+    # Distinct A values but a4: a1-a3 are free-standing and take their least
+    # valuations outside the search, which the a4 pair needs because it
+    # fails as a pfd.  The pair takes two steps, so the cap bounds only the
+    # two valuations.
     table, fds = tmp_path / "distinct.vtab", tmp_path / "ab.fds"
-    table.write_text("A,B\na1,{b1|b2}\na2,{b1|b2}\na3,b1\n")
+    table.write_text("A,B\na1,{b1|b2}\na2,{b1|b2}\na3,b1\na4,{b1|b2}\na4,b1\n")
     fds.write_text("A -> B\n")
     argv = ["check", "--table", str(table), "--fds", str(fds), "--semantics", "weak"]
     assert fdlab(*argv, "--cap", "2").returncode == 0

@@ -3,14 +3,15 @@
 Exit codes: 0 every dependency satisfied (or witness found), 1 a dependency
 violated or no witness exists, 2 usage, parse, model, or budget errors, and
 any unexpected error (its traceback goes to stderr).  `check --cap N` sets
-the valuation cap: lhs bindings per tuple for pfd and strong, both
-valuations per tuple and search steps for seamless and weak, lhs bindings
-per vague tuple, and the valuations of each reported vague tuple for
-vertical, pairs compared for rm.  `worlds --cap N` bounds the
-valuations of the whole table, one product step each.  The cap defaults to
-1,000,000, and a cap below 1 is a usage error.  Input files are read as
-UTF-8, with or without a byte-order mark.  A command imports the modules it
-runs when it runs, so `check` never loads `armstrong` or `valuation`.
+the valuation cap: lhs bindings per tuple for pfd and strong; for seamless
+and weak, lhs bindings per tuple and, past their pfd test, valuations per
+tuple and search steps; for vertical, lhs bindings per vague tuple and the
+valuations of each reported vague tuple; pairs compared for rm.
+`worlds --cap N` bounds the valuations of the whole table, one product step
+each.  The cap defaults to 1,000,000, and a cap below 1 is a usage error.
+Input files are read as UTF-8, with or without a byte-order mark.  A command
+imports the modules it runs when it runs, so `check` never loads `armstrong`
+or `valuation`.
 """
 
 from __future__ import annotations

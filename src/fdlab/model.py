@@ -179,7 +179,7 @@ class VagueTuple:
 
     def valuations(self) -> Iterator[Row]:
         """All standard rows obtainable from this tuple, in value order."""
-        return itertools.product(*(sorted(c) for c in self.cells))
+        return itertools.product(*map(sorted, self.cells))
 
     def valuation_count(self) -> int:
         return math.prod(map(len, self.cells))

@@ -144,6 +144,14 @@ def _getter(pos: tuple):
     return operator.itemgetter(*pos) if pos else lambda row: ()
 
 
+def _lhs_keys(model: Model, x_pos: tuple):
+    """t -> the lhs bindings of a `model` tuple as `_getter(x_pos)` keys, read off its cells."""
+    xg = _getter(x_pos)
+    if model is Model.VAGUE:
+        return (lambda t: xg(t.cells)) if len(x_pos) == 1 else lambda t: itertools.product(*xg(t.cells))
+    return (lambda t: (xg(t.values),)) if model is Model.STANDARD else lambda t: set(map(xg, t.disjuncts))
+
+
 def _product(cells: tuple):
     """The canonical answer for the product of non-empty cells: its one row
     when every cell is a singleton, else the cells."""
@@ -343,47 +351,63 @@ def check_seamless(
 ) -> Optional[Table]:
     """A world satisfying every FD in the set at once, or None.
 
-    Exhaustive backtracking over per-tuple valuations, kept on an explicit
-    stack so that its depth is not bounded by the interpreter's.  Each
-    unassigned tuple keeps its domain, the valuations compatible with the
-    choices so far: a row that opens a new lhs binding re-filters only that
-    binding's unassigned holders (forward checking over a `binding -> tuples`
-    index), and backtracking undoes each frame's own row.  The smallest domain
-    is branched on (fail-first, the lowest index on ties), so an empty one,
-    a dead end, is met as soon as it appears; a lazy heap keyed by (domain
-    size, index) finds it.  After the first dead end, a row is no longer tried
-    when it gives a binding an rhs value that a tuple with that single lhs
-    binding cannot take.  A free-standing tuple, one that shares no lhs
+    If every FD holds as a pfd on a vague or standard table, tested up to the
+    first binding two tuples answer differently, the world of least
+    valuations satisfies the set (least rows sharing a binding have equal
+    answer sets, so equal least rhs values) and is returned.  Otherwise, and
+    on disjunctive tables, where pfd gives no joint world: exhaustive
+    backtracking over per-tuple valuations, kept on an explicit stack so
+    that its depth is not bounded by the interpreter's.  Each unassigned
+    tuple keeps its domain, the valuations compatible with the choices so
+    far: a row that opens a new lhs binding re-filters only that binding's
+    unassigned holders (forward checking over a `binding -> tuples` index),
+    and backtracking undoes each frame's own row.  The smallest domain is
+    branched on (fail-first, the lowest index on ties), so an empty one, a
+    dead end, is met as soon as it appears; a lazy heap keyed by (domain
+    size, index) finds it.  After the first dead end, a row is no longer
+    tried when it gives a binding an rhs value that a tuple with that single
+    lhs binding cannot take.  A free-standing tuple, one that shares no lhs
     binding with another tuple under any FD, is in no conflict: it takes its
     least valuation outside the search, the row the search would end with.
-    Raises ValuationBudgetExceeded before the search if a tuple has more than
-    `budget` valuations, and once the search tries more than `budget` rows;
-    free-standing tuples try none.  Cost: linear in the valuations of
-    free-standing tuples; exponential in the others in the worst case (the
+    Raises ValuationBudgetExceeded if a tuple has more than `budget` lhs
+    bindings, then, past the pfd test, if it has more valuations, and once
+    the search tries more than `budget` rows.  Cost: linear in the lhs
+    bindings; past the pfd test, exponential in the valuations of the tuples
+    that are not free-standing, the only ones listed, in the worst case (the
     problem is NP-complete); without backtracking, each new binding filters
     its holders once per FD, and each node costs O(log n) heap work per
     domain that changed.
     """
     fds = list(fds)
-    getters = [tuple(map(_getter, _fd_positions(table.schema, fd))) for fd in fds]
-    _require_within(table.tuples, budget)
-    valuations = [list(t.valuations()) for t in table.tuples]
-    domains = valuations.copy()  # lists are replaced, never changed in place
-    # Per FD: binding -> the tuples with a valuation carrying it.  The entry
-    # of a binding that a chosen row opened is away, in that row's undo log.
-    # free[j]: tuple j is searched and unassigned.  A free-standing tuple,
-    # the only holder of each of its bindings, is never searched: no row of
-    # it narrows a domain or is narrowed.
+    positions = [_fd_positions(table.schema, fd) for fd in fds]
+    tuples = table.tuples
+    # Each tuple's least valuation, `next(t.valuations())` without sorting a cell.
+    least = {Model.STANDARD: operator.attrgetter("values"), Model.VAGUE: lambda t: tuple(map(min, t.cells)),
+             Model.DISJUNCTIVE: lambda t: min(t.disjuncts)}[table.model]
+    agree = lambda bind, first: not any(first.setdefault(k, a) != a for t in tuples for k, a in bind(t))
+    if table.model is not Model.DISJUNCTIVE and all(agree(_binder(*p, budget), {}) for p in positions):
+        return _world(table.schema, map(least, tuples))
+    getters = [tuple(map(_getter, p)) for p in positions]
+    bindings = [_lhs_keys(table.model, x_pos) for x_pos, _ in positions]
+    _require_within(tuples, budget)
+    # Per FD: binding -> the tuples holding it.  The entry of a binding that
+    # a chosen row opened is away, in that row's undo log.  free[j]: tuple j
+    # is searched and unassigned.  A free-standing tuple, the only holder of
+    # each of its bindings, is never searched: no row of it narrows a domain
+    # or is narrowed.
     holders = [dict() for _ in fds]
-    free = [False] * len(domains)
-    for j, rows in enumerate(valuations):
-        for h, (xg, _) in zip(holders, getters):
-            for key in set(map(xg, rows)):
+    free = [False] * len(tuples)
+    for j, t in enumerate(tuples):
+        for h, keys in zip(holders, bindings):
+            for key in keys(t):
                 js = h.setdefault(key, [])
                 if js:
                     free[js[0]] = free[j] = True
                 js.append(j)
-    alone = [rows[0] for rows, searched in zip(valuations, free) if not searched]
+    # Only searched tuples' valuations are listed: a free-standing one's are (), so `fill_allowed` skips it.
+    valuations = [list(t.valuations()) if searched else () for t, searched in zip(tuples, free)]
+    domains = valuations.copy()  # lists are replaced, never changed in place
+    alone = [least(t) for t, searched in zip(tuples, free) if not searched]
     depth = len(domains) - len(alone)
     # (len(domain), index) for every free tuple, plus stale entries that `branch` skips.
     heap = [(len(rows), j) for j, rows in enumerate(domains) if free[j]]

@@ -163,3 +163,14 @@ def wide_rhs(width: int) -> tuple:
     cell = {f"v{i}" for i in range(8)}
     table = Table.vague(["A0", *rhs], [("k", *[cell] * width), ({"j", "k"}, *[cell] * width)])
     return table, FunctionalDependency({"A0"}, rhs)
+
+
+def with_pfd_broken(table: Table, attr: str) -> Table:
+    """Vague `table` plus two tuples, p at every attribute but `attr`, where
+    they hold {p|q} and p.  An FD with `attr` on its rhs but not its lhs
+    fails as a pfd, yet both tuples can take p, so `check_seamless` must
+    search where the pfd test answered for `table`."""
+    attrs = table.schema.attributes
+    pair = [["p"] * len(attrs) for _ in range(2)]
+    pair[0][attrs.index(attr)] = {"p", "q"}
+    return Table.vague(attrs, [t.cells for t in table.tuples] + pair)

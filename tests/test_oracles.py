@@ -286,8 +286,13 @@ PINNED_3DM = [
     (6, 108, None),
 ]
 # Least budgets of seeded vague and disjunctive tables, seed 21; most lie
-# above the valuation floor, so they count the search's steps.
-PINNED_BUDGETS = [7, 4, 4, 4, 6, 2, 3, 3, 3, 2, 9, 3, 6, 2, 24, 3, 4, 1, 9, 3, 18, 3, 6, 4, 6, 3, 18, 3, 6, 3, 4, 2, 6, 3, 4, 3, 3, 2, 4, 3]
+# above the valuation floor, so they count the search's steps.  In cases 0,
+# 10, 12, 14, 18, 22, 24, 30, 34 and 38, vague tables whose FDs all hold as
+# pfds (each is trivial, or there is none), the pfd test answers without the
+# search: the least budget is the most lhs bindings of a tuple.
+PINNED_BUDGETS = [6, 4, 4, 4, 6, 2, 3, 3, 3, 2, 1, 3, 3, 2, 1, 3, 4, 1, 3, 3, 18, 3, 1, 4, 3, 3, 18, 3, 6, 3, 1, 2, 6, 3, 1, 3, 3, 2, 3, 3]
+# The same budgets when every table was searched.  Each stays an upper bound.
+BUDGETS_ALL_SEARCHED = [7, 4, 4, 4, 6, 2, 3, 3, 3, 2, 9, 3, 6, 2, 24, 3, 4, 1, 9, 3, 18, 3, 6, 4, 6, 3, 18, 3, 6, 3, 4, 2, 6, 3, 4, 3, 3, 2, 4, 3]
 # The same budgets under a search that charged each free-standing tuple a
 # step and let an empty domain wait behind single-row tuples.  The step count
 # can only fall, so each stays an upper bound.
@@ -313,8 +318,43 @@ def test_search_worlds_and_steps_are_pinned():
     for k in range(40):
         table = GENERATORS[1 + k % 2](rng, max_attrs=4, max_tuples=10)
         budgets.append(_least_budget(table, rand_fd_set(rng, table.schema.attributes, max_fds=4)))
-    assert all(b <= old for b, old in zip(budgets, BUDGETS_WITH_FREE_STANDING_CHARGED))
+    for bounds in (BUDGETS_WITH_FREE_STANDING_CHARGED, BUDGETS_ALL_SEARCHED):
+        assert all(b <= old for b, old in zip(budgets, bounds))
     assert budgets == PINNED_BUDGETS
+
+
+def test_pfd_holding_tables_take_the_least_world_at_any_budget():
+    # On a vague or standard table where every FD holds as a pfd, the world
+    # of least valuations satisfies the set: the search would never
+    # backtrack and would end there.  It is returned without the search, so
+    # the budget bounds only the lhs bindings the pfd test reads, and a
+    # tuple with more valuations than the budget no longer raises.
+    rng = random.Random(26)
+    answered = 0
+    for k in range(400):
+        table = GENERATORS[k % 2](rng, max_attrs=4, max_tuples=10)
+        fds = [f for f in rand_fd_set(rng, table.schema.attributes, max_fds=4) if check_pfd(table, f)]
+        least = Table.standard(table.schema, [next(t.valuations()) for t in table.tuples])
+        assert check_seamless(table, fds) == least == O.seamless_world(table, fds)
+        bindings = max((len(O.bindings(t, f.lhs)) for f in fds for t in table.tuples), default=1)
+        for budget in (10**6, 20, 3, 1):
+            if budget < bindings:
+                with pytest.raises(ValuationBudgetExceeded):
+                    check_seamless(table, fds, budget)
+            else:
+                assert check_seamless(table, fds, budget) == least
+                answered += budget < max(t.valuation_count() for t in table.tuples)  # the search would raise
+    assert answered > 100
+
+
+def test_pfd_gives_no_joint_world_on_disjunctive_tables():
+    # -> A and -> B hold as pfds, yet no world has one A value and one B
+    # value, so disjunctive tables are searched (`NO_JOINT_WORLD` is the
+    # 4-attribute case).
+    table = Table.disjunctive(["A", "B", "C"], [[("0", "0", "0"), ("1", "1", "1")], [("0", "1", "1"), ("1", "0", "0")]])
+    fds = [T.fd("", "A"), T.fd("", "B")]
+    assert all(check_pfd(table, f) for f in fds)
+    assert check_seamless(table, fds) is None
 
 
 def _step_cases(rng, count):
@@ -384,9 +424,14 @@ def test_independent_pairs_multiply_the_steps():
 
 
 def test_free_standing_tuples_take_no_steps():
-    # Every tuple is free-standing, so weak holds at budget 2, the largest
-    # tuple's valuation count; a search that charged each a step needed 10,000.
+    # Every tuple but one pair is free-standing.  The pair shares Z = p and
+    # answers Y differently, so the pfd test fails and the search runs; it
+    # has a world.  Weak holds at budget 2, the largest tuple's valuation
+    # count and the pair's two steps; a search that charged each
+    # free-standing tuple a step needed 10,002.
     table, f = unique_lhs_vague_table(random.Random(1), 10_000)
+    table = T.with_pfd_broken(table, "Y")
+    assert not check_pfd(table, f)
     assert check_weak(table, f, 2)
     with pytest.raises(ValuationBudgetExceeded):
         check_weak(table, f, 1)

@@ -183,7 +183,9 @@ class TestSeamless:
     def test_vague_search_without_dead_ends_is_near_linear(self):
         # 1,000 tuples, three FDs, no dead end: re-filtering every
         # unassigned tuple's valuations at every node takes well over 15 s.
+        # The pair that breaks pfd makes the search run.
         r, fds = grouped_vague_table(random.Random(1), 1_000)
+        r = T.with_pfd_broken(r, "C")
         start = time.perf_counter()
         w = check_seamless(r, fds)
         assert time.perf_counter() - start < 5
@@ -193,6 +195,7 @@ class TestSeamless:
         # 10,000 tuples: reading every unassigned tuple's domain size at
         # every node takes ~7 s.
         r, fds = grouped_vague_table(random.Random(2), 10_000)
+        r = T.with_pfd_broken(r, "C")
         start = time.perf_counter()
         w = check_seamless(r, fds)
         assert time.perf_counter() - start < 5
@@ -200,8 +203,10 @@ class TestSeamless:
 
     def test_weak_without_narrowing_branches_in_log_time(self):
         # 30,000 tuples, each the only holder of its lhs binding, so each is
-        # free-standing and takes its least valuation outside the search.
+        # free-standing and takes its least valuation outside the search,
+        # which runs for the pair that breaks pfd.
         r, f = unique_lhs_vague_table(random.Random(1), 30_000)
+        r = T.with_pfd_broken(r, "Y")
         start = time.perf_counter()
         assert check_weak(r, f)
         assert time.perf_counter() - start < 5
@@ -209,7 +214,9 @@ class TestSeamless:
     def test_weak_with_linked_tuples_branches_in_log_time(self):
         # 30,000 tuples in pairs sharing a binding: unlike the unique-lhs
         # table, every tuple goes through the heap, yet none narrows another.
+        # The pair that breaks pfd makes the search run.
         r, f = paired_lhs_vague_table(random.Random(1), 30_000)
+        r = T.with_pfd_broken(r, "Y")
         start = time.perf_counter()
         assert check_weak(r, f)
         assert time.perf_counter() - start < 5
@@ -380,6 +387,19 @@ class TestWideRhs:
                 assert checker(table, f) is holds
                 times.append(time.perf_counter() - start)
             assert min(times) < 0.005, (checker.__name__, times)
+
+    def test_weak_and_seamless_return_the_least_world(self):
+        # pfd holds, so the world of least valuations satisfies the FD and
+        # comes without listing either tuple's 8^7 valuations.
+        table, f = T.wide_rhs(7)
+        least = Table.standard(table.schema, [next(t.valuations()) for t in table.tuples])
+        for checker in (lambda: check_weak(table, f), lambda: check_seamless(table, [f]) == least):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                assert checker()
+                times.append(time.perf_counter() - start)
+            assert min(times) < 0.005, times
 
     def test_select_counts_a_vague_tuples_rows_before_listing_them(self):
         # 8^7 rows are over the default cap and raise before the first row;
