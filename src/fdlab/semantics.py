@@ -215,6 +215,28 @@ def _binder(x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP):
     return lambda t: kernels[type(t)](t)
 
 
+def _pfd_holds(tuples: tuple, positions: list, cap: int) -> bool:
+    """Whether every FD, as (X, Y) positions, holds as a pfd on vague or
+    standard `tuples`, where answers are products of cells: X -> Y holds iff
+    X -> A does for each A in Y - X, and X -> A gives XZ -> A.  So one pass
+    per lhs, up to the first binding two tuples answer differently, tests
+    the rhs its FDs unite, unless the lhs sets inside it give them all (as
+    for trivial FDs).  False once a tuple has more than `cap` bindings of a
+    lhs it reads."""
+    rhs = {}
+    for x_pos, y_pos in positions:
+        rhs.setdefault(frozenset(x_pos), set()).update(set(y_pos) - set(x_pos))
+    try:
+        for x, y in rhs.items():
+            if y - set().union(*(z for w, z in rhs.items() if w < x)):
+                bind, first = _binder(tuple(sorted(x)), tuple(sorted(y)), cap), {}
+                if any(first.setdefault(k, a) != a for t in tuples for k, a in bind(t)):
+                    return False
+    except ValuationBudgetExceeded:  # the callers' own paths raise it, or name an FD that fails first
+        return False
+    return True
+
+
 def _first_disagreement(tuples: tuple, pairs_of, reason: str) -> Optional[Violation]:
     """Violation for the least (i, j, key), i < j, such that tuples i and j
     map `key` to different values under `pairs_of(t)` (key, value) pairs.
@@ -351,10 +373,10 @@ def check_seamless(
 ) -> Optional[Table]:
     """A world satisfying every FD in the set at once, or None.
 
-    If every FD holds as a pfd on a vague or standard table, tested up to the
-    first binding two tuples answer differently, the world of least
-    valuations satisfies the set (least rows sharing a binding have equal
-    answer sets, so equal least rhs values) and is returned.  Otherwise, and
+    If every FD holds as a pfd on a vague or standard table (`_pfd_holds`),
+    the world of least valuations satisfies the set (least rows sharing a
+    binding have equal answer sets, so equal least rhs values) and is
+    returned; a standard table is that world itself.  Otherwise, and
     on disjunctive tables, where pfd gives no joint world: exhaustive
     backtracking over per-tuple valuations, kept on an explicit stack so
     that its depth is not bounded by the interpreter's.  Each unassigned
@@ -369,10 +391,11 @@ def check_seamless(
     lhs binding cannot take.  A free-standing tuple, one that shares no lhs
     binding with another tuple under any FD, is in no conflict: it takes its
     least valuation outside the search, the row the search would end with.
-    Raises ValuationBudgetExceeded if a tuple has more than `budget` lhs
-    bindings, then, past the pfd test, if it has more valuations, and once
-    the search tries more than `budget` rows.  Cost: linear in the lhs
-    bindings; past the pfd test, exponential in the valuations of the tuples
+    Raises ValuationBudgetExceeded if a tuple has more than `budget` bindings
+    of a lhs the pfd test reads, then, past it, if it has more valuations,
+    and once the search tries more than `budget` rows.  Cost: linear in the
+    bindings of the lhs sets that test reads; past the pfd test,
+    exponential in the valuations of the tuples
     that are not free-standing, the only ones listed, in the worst case (the
     problem is NP-complete); without backtracking, each new binding filters
     its holders once per FD, and each node costs O(log n) heap work per
@@ -384,9 +407,8 @@ def check_seamless(
     # Each tuple's least valuation, `next(t.valuations())` without sorting a cell.
     least = {Model.STANDARD: operator.attrgetter("values"), Model.VAGUE: lambda t: tuple(map(min, t.cells)),
              Model.DISJUNCTIVE: lambda t: min(t.disjuncts)}[table.model]
-    agree = lambda bind, first: not any(first.setdefault(k, a) != a for t in tuples for k, a in bind(t))
-    if table.model is not Model.DISJUNCTIVE and all(agree(_binder(*p, budget), {}) for p in positions):
-        return _world(table.schema, map(least, tuples))
+    if table.model is not Model.DISJUNCTIVE and _pfd_holds(tuples, positions, budget):
+        return table if table.model is Model.STANDARD else _world(table.schema, map(least, tuples))
     getters = [tuple(map(_getter, p)) for p in positions]
     bindings = [_lhs_keys(table.model, x_pos) for x_pos, _ in positions]
     _require_within(tuples, budget)

@@ -9,8 +9,9 @@ intermediate tuple must drag the whole chain along, otherwise a later pick
 can contradict an earlier one (the one-sweep variant kept in the tests shows
 this).  Two tuples could agree on a lhs iff they share a binding of its lhs
 cells, so each attribute's components come from one pass over the tuples'
-lhs bindings that merges their holders: O(B + n log n) per attribute, B the
-lhs bindings of its determining FDs.
+lhs bindings that merges their holders: O(B + n log n), B the bindings of
+its minimal determining lhs sets, and shared by the attributes after it
+with the same sets until one of the sets' attributes is valued.
 
 `generate_3dm_reduction` builds, from a 3-dimensional matching instance, a
 vague table and three FDs whose joint (seamless) satisfiability is equivalent
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ModelError, ParseError, PfdPreconditionError, ReductionError
-from .model import Memo, Model, Schema, Table, VagueTuple, _world, check_value
-from .semantics import FunctionalDependency, _fd_positions, check_pfd
+from .model import DEFAULT_VALUATION_CAP, Memo, Model, Schema, Table, VagueTuple, _world, check_value
+from .semantics import FunctionalDependency, _fd_positions, _pfd_holds, check_pfd
 
 DEFAULT_SEED = 0
 
@@ -39,16 +40,14 @@ def seamless_valuation_rows(
 ) -> list:
     """One chosen standard row per table tuple, aligned with table order.
 
-    Requires every FD to hold in the pfd sense; raises PfdPreconditionError
-    naming the first one that does not.
+    Requires every FD to hold in the pfd sense (`_pfd_holds`); raises
+    PfdPreconditionError naming the first one that does not.
     """
     if table.model is Model.DISJUNCTIVE:
         raise ModelError("the valuation algorithm is defined for vague tables")
-    fds = list(fds)
-    for fd in fds:  # an unknown attribute fails alike whatever the FD order
-        _fd_positions(table.schema, fd)
-    for fd in fds:
-        if not check_pfd(table, fd):
+    positions = [_fd_positions(table.schema, fd) for fd in fds]  # an unknown attribute fails alike whatever the FD order
+    for fd in () if _pfd_holds(table.tuples, positions, DEFAULT_VALUATION_CAP) else fds:
+        if not check_pfd(table, fd):  # the first FD that fails, in FD order
             raise PfdPreconditionError(fd)
     if table.model is Model.STANDARD:
         return [t.values for t in table.tuples]
@@ -56,25 +55,31 @@ def seamless_valuation_rows(
     schema = table.schema
     rng = random.Random(seed)
     cells = [list(t.cells) for t in table.tuples]
+    floods = {}  # (minimal lhs sets, their positions valued so far) -> components
 
     for a_pos, attr in enumerate(schema):
         # X -> Y splits losslessly into X -> A for A in Y-X on vague tables.
-        determining = list(dict.fromkeys(schema.positions(fd.lhs) for fd in fds if attr in fd.rhs - fd.lhs))
-        # The lhs cells stay put within one attribute, so the components of
+        # Tuples sharing a binding of X share one of any X' inside X, and a
+        # cell changes only at its attribute's step, so the components of
         # "could agree on a determining lhs" (share a binding of its lhs
-        # cells) are found once: merge the holders of each binding, moving
-        # the members of the smaller component.
-        group = [[j] for j in range(len(cells))]
-        for pos in determining:
-            first = {}
-            for j, row in enumerate(cells):
-                for binding in itertools.product(*(row[p] for p in pos)):
-                    a, b = group[j], group[first.setdefault(binding, j)]
-                    small, big = (b, a) if len(b) < len(a) else (a, b)
-                    if big is not small:
-                        big.extend(small)
-                        for k in small:
-                            group[k] = big
+        # cells) come from the minimal lhs sets, once per valued state:
+        # merge the holders of each binding, moving the smaller component.
+        determining = {x for x, y in positions if a_pos in y and a_pos not in x}
+        minimal = frozenset(x for x in determining if not any(set(w) < set(x) for w in determining))
+        key = minimal, frozenset(p for x in minimal for p in x if p < a_pos)
+        group = floods.get(key)
+        if group is None:
+            group = floods[key] = [[j] for j in range(len(cells))]
+            for pos in minimal:
+                first = {}
+                for j, row in enumerate(cells):
+                    for binding in itertools.product(*(row[p] for p in pos)):
+                        a, b = group[j], group[first.setdefault(binding, j)]
+                        small, big = (b, a) if len(b) < len(a) else (a, b)
+                        if big is not small:
+                            big.extend(small)
+                            for k in small:
+                                group[k] = big
         for i in range(len(cells)):
             if len(cells[i][a_pos]) <= 1:
                 continue
@@ -96,7 +101,8 @@ def seamless_valuation_pfd(
     table: Table, fds: Iterable[FunctionalDependency], seed: int = DEFAULT_SEED
 ) -> Table:
     """A possible world of `table` satisfying every FD in the set standardly."""
-    return _world(table.schema, seamless_valuation_rows(table, fds, seed=seed))
+    rows = seamless_valuation_rows(table, fds, seed=seed)
+    return table if table.model is Model.STANDARD else _world(table.schema, rows)  # its only world
 
 
 # ---------------------------------------------------------------------------

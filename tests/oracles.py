@@ -7,8 +7,10 @@ must return the same `Violation` (reason, pair, binding, note) while doing
 linear or hoisted work; strong and weak must return the same verdicts.  The
 closure oracles repeat full passes over the FD list, and the proof checker
 rebuilds each rule's conclusion and compares it whole.  The worklist flood
-grows each valuation group by pairwise cell intersections, and the one-sweep
-flood shows why the valuation flood must take whole components.  rm's
+grows each valuation group by pairwise cell intersections, the one-sweep
+flood shows why the valuation flood must take whole components, and the
+per-attribute flood tests each FD's pfd and rebuilds each attribute's
+components from every determining lhs.  rm's
 resemblance takes both overlap ratios of each pair of cells.  The row-set
 index keeps every answer set whole, for any mix of tuple models.
 """
@@ -17,8 +19,8 @@ import itertools
 import random
 
 from fdlab import (
-    DisjunctiveTuple, FunctionalDependency, Model, ModelError, StandardTuple, Table, VagueTuple,
-    ValuationBudgetExceeded,
+    DisjunctiveTuple, FunctionalDependency, Model, ModelError, PfdPreconditionError, StandardTuple, Table, VagueTuple,
+    ValuationBudgetExceeded, check_pfd,
 )
 from fdlab.armstrong import (
     _RULES, AUGMENTATION, GIVEN, REFLEXIVITY, TRANSITIVITY, Derivation, DerivationStep,
@@ -495,4 +497,43 @@ def worklist_valuation_rows(table, fds, seed=DEFAULT_SEED):
             for j in group:
                 assert choice in cells[j][a_pos]
                 cells[j][a_pos] = {choice}
+    return [tuple(next(iter(c)) for c in row) for row in cells]
+
+
+def per_attribute_valuation_rows(table, fds, seed=DEFAULT_SEED):
+    """The valuation flood with its precondition tested FD by FD and each
+    attribute's components rebuilt from every lhs that determines it, on the
+    cells as earlier attributes' picks have narrowed them.
+    `seamless_valuation_rows` must return the same rows, or raise the same error."""
+    if table.model is Model.DISJUNCTIVE:
+        raise ModelError("the valuation algorithm is defined for vague tables")
+    for f in fds:  # an unknown attribute fails before any pfd test
+        table.schema.positions(f.lhs), table.schema.positions(f.rhs)
+    for f in fds:
+        if not check_pfd(table, f):
+            raise PfdPreconditionError(f)
+    if table.model is Model.STANDARD:
+        return [t.values for t in table.tuples]
+    schema = table.schema
+    rng = random.Random(seed)
+    cells = [list(t.cells) for t in table.tuples]
+    for a_pos, attr in enumerate(schema):
+        determining = list(dict.fromkeys(schema.positions(f.lhs) for f in fds if attr in f.rhs - f.lhs))
+        group = [{j} for j in range(len(cells))]
+        for pos in determining:
+            first = {}
+            for j, row in enumerate(cells):
+                for binding in itertools.product(*(row[p] for p in pos)):
+                    k = first.setdefault(binding, j)
+                    if group[k] is not group[j]:
+                        merged = group[k] | group[j]
+                        for m in merged:
+                            group[m] = merged
+        for i in range(len(cells)):
+            if len(cells[i][a_pos]) <= 1:
+                continue
+            choice = rng.choice(sorted(cells[i][a_pos]))
+            for j in group[i]:
+                assert choice in cells[j][a_pos]
+                cells[j][a_pos] = frozenset((choice,))
     return [tuple(next(iter(c)) for c in row) for row in cells]

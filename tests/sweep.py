@@ -23,7 +23,9 @@ The cases, each run on both sides with that side's own parser and `Table`:
   (errors included), `project_table` onto every attribute subset,
   `enumerate_worlds` order and the point where `limit` stops it, rm
   witnesses and notes under both resemblance variants, and `check` reports
-  under every semantics.
+  under every semantics; on vague tables, `seamless_valuation_rows` rows or
+  errors at valuation seeds 0-2, for the FDs that hold as pfds, every third
+  of them, and three FDs that mostly fail.
 
 Exit status: 0 if no case differs, 1 otherwise.
 """
@@ -43,8 +45,9 @@ POOL = ("p", "q", "r", "s")
 # Left out: wide_rhs.vtab, whose tuples have 8^7 valuations each.  `select`
 # past the cap raises at once, but the selects whose rows fit under it (up to
 # 8^6 of them) are listed and sorted, about 150 s a side, and its 8 attributes
-# give 65,280 FDs for the rm cases: with the table in, the sweep grows from
-# about 11 s and 99,389 cases to about 6 min and 235,114.
+# give 65,280 FDs for the rm cases: with the table in, the sweep grew from
+# about 11 s and 99,389 cases to about 6 min and 235,114, measured before the
+# valuate cases were added (they bring it to 100,352 without the table).
 # tests/test_semantics.py:TestWideRhs and the CI checks cover it.
 TABLES = sorted(p for p in DATA.iterdir() if p.suffix in (".stab", ".vtab", ".dtab") and p.name != "wide_rhs.vtab")
 
@@ -57,7 +60,7 @@ def load(root: Path, name: str):
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
-    for sub in ("cli", "formats", "model", "semantics"):
+    for sub in ("cli", "formats", "model", "semantics", "valuation"):
         setattr(pkg, sub, importlib.import_module(f"{name}.{sub}"))
     pkg.root = str(pkg_dir)
     return pkg
@@ -149,6 +152,11 @@ def library_cases(side, name, table):
             yield f"{name} rm {fd} {variant}", outcome(lambda: shown(s.find_rm_violation(table, fd, variant)))
     for sem in SEMANTICS:
         yield f"{name} check {sem}", outcome(lambda: s.check(table, fds[-3:], sem, valuation_cap=5000).to_text())
+    if table.model.value == "vague":
+        held = [fd for fd in fds if s.check_pfd(table, fd)]
+        for seed, (k, group) in itertools.product(range(3), enumerate((held, held[::3], fds[-3:]))):
+            rows = lambda: side.valuation.seamless_valuation_rows(table, group, seed)
+            yield f"{name} valuate seed={seed} set={k}", outcome(rows)
 
 
 def side_tables(side):

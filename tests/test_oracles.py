@@ -20,8 +20,10 @@ from fdlab import (
 )
 from fdlab.armstrong import AUGMENTATION
 from fdlab.semantics import (
+    DEFAULT_VALUATION_CAP,
     _binder,
     _fd_positions,
+    _pfd_holds,
     find_strong_violation,
     find_pfd_violation,
     find_rm_violation,
@@ -32,8 +34,8 @@ from fdlab.semantics import (
 import oracles as O
 import tables as T
 from gen import (
-    SMALL_ATTRS, VALUES, monotone_3sat_table, rand_3dm_instance, rand_disjunctive_table, rand_fd, rand_fd_set,
-    rand_standard_table, rand_vague_table, small_disjunctive_tables, unique_lhs_vague_table, wide_fd_set,
+    SMALL_ATTRS, VALUES, monotone_3sat_table, rand_3dm_instance, rand_cell, rand_disjunctive_table, rand_fd,
+    rand_fd_set, rand_standard_table, rand_vague_table, small_disjunctive_tables, unique_lhs_vague_table, wide_fd_set,
 )
 
 GENERATORS = (rand_standard_table, rand_vague_table, rand_disjunctive_table)
@@ -289,8 +291,11 @@ PINNED_3DM = [
 # above the valuation floor, so they count the search's steps.  In cases 0,
 # 10, 12, 14, 18, 22, 24, 30, 34 and 38, vague tables whose FDs all hold as
 # pfds (each is trivial, or there is none), the pfd test answers without the
-# search: the least budget is the most lhs bindings of a tuple.
-PINNED_BUDGETS = [6, 4, 4, 4, 6, 2, 3, 3, 3, 2, 1, 3, 3, 2, 1, 3, 4, 1, 3, 3, 18, 3, 1, 4, 3, 3, 18, 3, 6, 3, 1, 2, 6, 3, 1, 3, 3, 2, 3, 3]
+# search: the least budget is the most bindings of a lhs its cover reads,
+# and 1 where it reads none.
+PINNED_BUDGETS = [1, 4, 4, 4, 6, 2, 3, 3, 3, 2, 1, 3, 1, 2, 1, 3, 4, 1, 1, 3, 18, 3, 1, 4, 1, 3, 18, 3, 6, 3, 1, 2, 6, 3, 1, 3, 3, 2, 1, 3]
+# The same budgets when the pfd test read every FD's lhs bindings.  Each stays an upper bound.
+BUDGETS_EACH_LHS_READ = [6, 4, 4, 4, 6, 2, 3, 3, 3, 2, 1, 3, 3, 2, 1, 3, 4, 1, 3, 3, 18, 3, 1, 4, 3, 3, 18, 3, 6, 3, 1, 2, 6, 3, 1, 3, 3, 2, 3, 3]
 # The same budgets when every table was searched.  Each stays an upper bound.
 BUDGETS_ALL_SEARCHED = [7, 4, 4, 4, 6, 2, 3, 3, 3, 2, 9, 3, 6, 2, 24, 3, 4, 1, 9, 3, 18, 3, 6, 4, 6, 3, 18, 3, 6, 3, 4, 2, 6, 3, 4, 3, 3, 2, 4, 3]
 # The same budgets under a search that charged each free-standing tuple a
@@ -318,7 +323,7 @@ def test_search_worlds_and_steps_are_pinned():
     for k in range(40):
         table = GENERATORS[1 + k % 2](rng, max_attrs=4, max_tuples=10)
         budgets.append(_least_budget(table, rand_fd_set(rng, table.schema.attributes, max_fds=4)))
-    for bounds in (BUDGETS_WITH_FREE_STANDING_CHARGED, BUDGETS_ALL_SEARCHED):
+    for bounds in (BUDGETS_WITH_FREE_STANDING_CHARGED, BUDGETS_ALL_SEARCHED, BUDGETS_EACH_LHS_READ):
         assert all(b <= old for b, old in zip(budgets, bounds))
     assert budgets == PINNED_BUDGETS
 
@@ -328,7 +333,9 @@ def test_pfd_holding_tables_take_the_least_world_at_any_budget():
     # of least valuations satisfies the set: the search would never
     # backtrack and would end there.  It is returned without the search, so
     # the budget bounds only the lhs bindings the pfd test reads, and a
-    # tuple with more valuations than the budget no longer raises.
+    # tuple with more valuations than the budget no longer raises.  The test
+    # reads a lhs only when some FD on it has an rhs attribute outside it and
+    # outside the rhs of the FDs whose lhs lies strictly inside it.
     rng = random.Random(26)
     answered = 0
     for k in range(400):
@@ -336,7 +343,8 @@ def test_pfd_holding_tables_take_the_least_world_at_any_budget():
         fds = [f for f in rand_fd_set(rng, table.schema.attributes, max_fds=4) if check_pfd(table, f)]
         least = Table.standard(table.schema, [next(t.valuations()) for t in table.tuples])
         assert check_seamless(table, fds) == least == O.seamless_world(table, fds)
-        bindings = max((len(O.bindings(t, f.lhs)) for f in fds for t in table.tuples), default=1)
+        read = [f.lhs for f in fds if f.rhs - f.lhs - set().union(*(g.rhs - g.lhs for g in fds if g.lhs < f.lhs))]
+        bindings = max((len(O.bindings(t, x)) for x in read for t in table.tuples), default=1)
         for budget in (10**6, 20, 3, 1):
             if budget < bindings:
                 with pytest.raises(ValuationBudgetExceeded):
@@ -498,6 +506,103 @@ def test_valuation_flood_returns_the_worklist_floods_rows():
             empty += any(not f.lhs and len(table) > 1 for f in fds)
             wide += any(len(f.lhs - f.rhs) > 1 and len(table) > 1 for f in fds)
     assert empty > 300 and wide > 200
+
+
+def _cover_cases(rng, count):
+    """Vague and standard tables with FD sets that mix duplicate lhs sets,
+    superset lhs sets, overlapping sides, trivial FDs and one rhs under
+    unrelated lhs sets."""
+    for k in range(count):
+        table = GENERATORS[k % 2](rng, max_attrs=4, max_tuples=6)
+        attrs = table.schema.attributes
+        fds = rand_fd_set(rng, attrs, max_fds=3)
+        for f in list(fds):
+            more = frozenset(rng.sample(attrs, rng.randint(0, len(attrs))))
+            fds.append(rng.choice([
+                FunctionalDependency(f.lhs, more),  # the same lhs
+                FunctionalDependency(f.lhs | more, f.rhs),  # a lhs around it
+                FunctionalDependency(f.lhs, f.lhs | more),  # overlapping sides
+                FunctionalDependency(f.lhs | more, more),  # trivial
+                FunctionalDependency(more, f.rhs),  # another lhs, the same rhs
+            ]))
+        rng.shuffle(fds)
+        yield table, fds
+
+
+def test_the_cover_decides_the_fd_set_as_pfds():
+    # On vague and standard tables the pfd test reads one lhs per group of
+    # FDs, and none for trivial or implied FDs; it must decide the whole set.
+    held = skipped = 0
+    for table, fds in _cover_cases(random.Random(27), 2400):
+        positions = [_fd_positions(table.schema, f) for f in fds]
+        want = all(check_pfd(table, f) for f in fds)
+        assert _pfd_holds(table.tuples, positions, DEFAULT_VALUATION_CAP) == want
+        held += want
+        skipped += want and any(f.lhs < g.lhs and f.rhs - f.lhs and g.rhs - g.lhs <= f.rhs for f in fds for g in fds)
+    assert 400 < held < 2000 and skipped > 100
+
+
+def test_the_cover_does_not_read_a_skipped_lhs_past_the_cap():
+    # A B -> C follows from A -> C, so its three bindings are never read.
+    table = Table.vague(["A", "B", "C"], [("a", {"b0", "b1", "b2"}, "c"), ("a2", "b0", {"c", "d"})])
+    fds = [T.fd("A", "C"), T.fd("A B", "C")]
+    with pytest.raises(ValuationBudgetExceeded):
+        check_pfd(table, fds[1], 2)
+    assert _pfd_holds(table.tuples, [_fd_positions(table.schema, f) for f in fds], 2)
+    assert check_seamless(table, fds, 2) == Table.standard(["A", "B", "C"], [("a", "b0", "c"), ("a2", "b0", "c")])
+    # Read, the same lhs is past the cap: the pfd test gives way to the search, which raises.
+    assert not _pfd_holds(table.tuples, [_fd_positions(table.schema, fds[1])], 2)
+    with pytest.raises(ValuationBudgetExceeded):
+        check_seamless(table, fds[1:], 2)
+
+
+def _lhs_between_cases(rng, count):
+    """Vague tables over 3-5 attributes where the lhs attribute P lies
+    between attributes it determines.  In three of four tables every other
+    cell is planted equal across the tuples that share a P value, so that
+    P -> the rest holds as a pfd; P's own cells overlap, so valuing P can
+    split those tuples.  FDs: P -> each side, a lhs around P, a trivial FD."""
+    for _ in range(count):
+        attrs = [f"A{i}" for i in range(rng.randint(3, 5))]
+        p = rng.randrange(1, len(attrs) - 1)
+        rows = [[rand_cell(rng) for _ in attrs] for _ in range(rng.randint(2, 8))]
+        if rng.random() < 0.75:
+            root = list(range(len(rows)))
+            for i, j in itertools.combinations(range(len(rows)), 2):
+                if rows[i][p] & rows[j][p]:
+                    old = root[j]
+                    root = [root[i] if r == old else r for r in root]
+            for row, r in zip(rows, root):
+                row[:p], row[p + 1:] = rows[r][:p], rows[r][p + 1:]
+        lhs = attrs[p]
+        fds = [FunctionalDependency({lhs}, attrs[:p]), FunctionalDependency({lhs}, attrs[p + 1:]),
+               FunctionalDependency({lhs, rng.choice(attrs)}, rng.sample(attrs, 2)),
+               FunctionalDependency({lhs}, {lhs})]
+        yield Table.vague(attrs, rows), rng.sample(fds, rng.randint(1, 4))
+
+
+def test_valuation_flood_returns_the_per_attribute_floods_rows():
+    # Each attribute floods only its minimal determining lhs sets, once per
+    # valued state of their attributes; the per-attribute oracle rebuilds
+    # every attribute's components from every lhs.  P valued between two
+    # attributes it determines must not reuse the first one's components.
+    def outcome(fn):
+        try:
+            return fn()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    flooded = 0
+    cases = list(_lhs_between_cases(random.Random(28), 600))
+    cases += [(table, fds) for table, fds, _ in _flood_cases(random.Random(29), 200)]
+    cases += [(table, rand_fd_set(random.Random(k), table.schema.attributes, 4))
+              for k, table in enumerate(rand_vague_table(random.Random(30), 4, 6) for _ in range(200))]
+    for table, fds in cases:
+        for seed in range(3):
+            got = outcome(lambda: seamless_valuation_rows(table, fds, seed))
+            assert got == outcome(lambda: O.per_attribute_valuation_rows(table, fds, seed))
+            flooded += type(got) is list
+    assert flooded > 1200
 
 
 def test_contributions_follow_the_definition():

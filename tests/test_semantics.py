@@ -170,9 +170,11 @@ class TestSeamless:
         assert w in set(enumerate_worlds(T.TRANSITIVITY_TRAP))
 
     def test_budget_error(self):
-        r = Table.vague(["A"], [(frozenset({"a", "b", "c"}),) for _ in range(3)])
+        r = Table.vague(["A", "B"], [({"a", "b", "c"}, {"x", "y"})])
         with pytest.raises(ValuationBudgetExceeded):
-            check_seamless(r, [fd("A", "A")], budget=2)
+            check_seamless(r, [fd("A", "B")], budget=2)
+        # A trivial FD reads no lhs binding, and pfd holds: the least world answers.
+        assert check_seamless(r, [fd("A", "A")], budget=2) == Table.standard(["A", "B"], [("a", "x")])
 
     def test_search_depth_is_not_bounded_by_the_stack(self):
         # One search level per tuple: a recursive search overflows here.
@@ -564,8 +566,8 @@ class TestDispatcher:
             assert len(built) == passes * len(fds)
             assert len(calls) == passes * len(fds) * len(r)
         built.clear()
-        seamless_valuation_rows(table, fds)  # its check_pfd precondition
-        assert len(built) == len(fds)
+        seamless_valuation_rows(table, fds)  # its pfd precondition, on the cover: one lhs, K -> C D
+        assert len(built) == 1
 
     def test_inapplicable_combination_raises(self):
         with pytest.raises(ModelError):
