@@ -45,6 +45,7 @@ def seamless_valuation_rows(
     """
     if table.model is Model.DISJUNCTIVE:
         raise ModelError("the valuation algorithm is defined for vague tables")
+    fds = list(fds)  # read twice when the cover fails
     positions = [_fd_positions(table.schema, fd) for fd in fds]  # an unknown attribute fails alike whatever the FD order
     for fd in () if _pfd_holds(table.tuples, positions, DEFAULT_VALUATION_CAP) else fds:
         if not check_pfd(table, fd):  # the first FD that fails, in FD order
@@ -101,8 +102,7 @@ def seamless_valuation_pfd(
     table: Table, fds: Iterable[FunctionalDependency], seed: int = DEFAULT_SEED
 ) -> Table:
     """A possible world of `table` satisfying every FD in the set standardly."""
-    rows = seamless_valuation_rows(table, fds, seed=seed)
-    return table if table.model is Model.STANDARD else _world(table.schema, rows)  # its only world
+    return _world(table.schema, seamless_valuation_rows(table, fds, seed=seed))
 
 
 # ---------------------------------------------------------------------------

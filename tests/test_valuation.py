@@ -58,6 +58,14 @@ class TestSeamlessValuation:
             seamless_valuation_pfd(bad, [T.AB])
         assert err.value.fd == T.AB
 
+    def test_precondition_reads_a_one_shot_fd_iterator_in_full(self):
+        # The cover fails here, so the FDs are read a second time to name one.
+        bad = Table.vague(["A", "B"], [("a", "x"), ("a", "y")])
+        for valuate in (seamless_valuation_rows, seamless_valuation_pfd):
+            with pytest.raises(PfdPreconditionError) as err:
+                valuate(bad, iter([T.AB]))
+            assert err.value.fd == T.AB
+
     def test_disjunctive_input_rejected(self):
         with pytest.raises(ModelError):
             seamless_valuation_pfd(T.NO_JOINT_WORLD, [T.AB])
