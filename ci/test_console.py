@@ -46,7 +46,7 @@ def test_closure(fdlab):
 
 def test_seamless_and_valuate(fdlab):
     proc = fdlab("valuate", "--table", "tests/data/valuation_demo.vtab", "--fds", "tests/data/valuation_demo.fds",
-                 "--seed", "1")
+                 "--seed", "4")
     assert proc.returncode == 0
     assert proc.stdout.rstrip("\n") == "#model: standard\nA,B,C\na1,b1,c1\na1,b1,c2\na2,b1,c2"
     proc = fdlab("check", "--table", "tests/data/matching_reduction.vtab", "--fds", "tests/data/matching_reduction.fds",

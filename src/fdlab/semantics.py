@@ -145,11 +145,11 @@ def _getter(pos: tuple):
 
 
 def _lhs_keys(model: Model, x_pos: tuple):
-    """t -> the lhs bindings of a `model` tuple as `_getter(x_pos)` keys, read off its cells."""
+    """t -> the lhs bindings of a vague or disjunctive `model` tuple as `_getter(x_pos)` keys."""
     xg = _getter(x_pos)
     if model is Model.VAGUE:
         return (lambda t: xg(t.cells)) if len(x_pos) == 1 else lambda t: itertools.product(*xg(t.cells))
-    return (lambda t: (xg(t.values),)) if model is Model.STANDARD else lambda t: set(map(xg, t.disjuncts))
+    return lambda t: set(map(xg, t.disjuncts))
 
 
 def _product(cells: tuple):
@@ -373,29 +373,29 @@ def check_seamless(
 ) -> Optional[Table]:
     """A world satisfying every FD in the set at once, or None.
 
-    If every FD holds as a pfd on a vague or standard table (`_pfd_holds`),
-    the world of least valuations satisfies the set (least rows sharing a
-    binding have equal answer sets, so equal least rhs values) and is
-    returned; a standard table is that world itself.  Otherwise, and
-    on disjunctive tables, where pfd gives no joint world: exhaustive
-    backtracking over per-tuple valuations, kept on an explicit stack so
-    that its depth is not bounded by the interpreter's.  Each unassigned
-    tuple keeps its domain, the valuations compatible with the choices so
-    far: a row that opens a new lhs binding re-filters only that binding's
-    unassigned holders (forward checking over a `binding -> tuples` index),
-    and backtracking undoes each frame's own row.  The smallest domain is
-    branched on (fail-first, the lowest index on ties), so an empty one, a
-    dead end, is met as soon as it appears; a lazy heap keyed by (domain
-    size, index) finds it.  After the first dead end, a row is no longer
+    A standard table is its own only world: one pfd pass per lhs
+    (`_pfd_holds`) decides it, and it is never searched.  If every FD holds
+    as a pfd on a vague table, the world of least valuations satisfies the
+    set (least rows sharing a binding have equal answer sets, so equal least
+    rhs values) and is returned.  Otherwise, and on disjunctive tables,
+    where pfd gives no joint world: exhaustive backtracking over per-tuple
+    valuations, kept on an explicit stack so that its depth is not bounded
+    by the interpreter's.  Each unassigned tuple keeps its domain, the
+    valuations compatible with the choices so far: a row that opens a new
+    lhs binding re-filters only that binding's unassigned holders (forward
+    checking over a `binding -> tuples` index), and backtracking undoes each
+    frame's own row.  The smallest domain is branched on (fail-first, the
+    lowest index on ties), so an empty one, a dead end, is met as soon as it
+    appears; a lazy heap keyed by (domain size, index) finds it.  After the first dead end, a row is no longer
     tried when it gives a binding an rhs value that a tuple with that single
     lhs binding cannot take.  A free-standing tuple, one that shares no lhs
     binding with another tuple under any FD, is in no conflict: it takes its
     least valuation outside the search, the row the search would end with.
-    Raises ValuationBudgetExceeded if a tuple has more than `budget` bindings
-    of a lhs the pfd test reads, then, past it, if it has more valuations,
-    and once the search tries more than `budget` rows.  Cost: linear in the
-    bindings of the lhs sets that test reads; past the pfd test,
-    exponential in the valuations of the tuples
+    On a vague or disjunctive table, raises ValuationBudgetExceeded if a
+    tuple has more than `budget` bindings of a lhs the pfd test reads, then,
+    past it, if it has more valuations, and once the search tries more than
+    `budget` rows.  Cost: linear in the bindings of the lhs sets that test
+    reads; past the pfd test, exponential in the valuations of the tuples
     that are not free-standing, the only ones listed, in the worst case (the
     problem is NP-complete); without backtracking, each new binding filters
     its holders once per FD, and each node costs O(log n) heap work per
@@ -404,11 +404,12 @@ def check_seamless(
     fds = list(fds)
     positions = [_fd_positions(table.schema, fd) for fd in fds]
     tuples = table.tuples
+    if table.model is Model.STANDARD:  # its own only world, which pfd decides exactly
+        return table if _pfd_holds(tuples, positions, budget) else None
     # Each tuple's least valuation, `next(t.valuations())` without sorting a cell.
-    least = {Model.STANDARD: operator.attrgetter("values"), Model.VAGUE: lambda t: tuple(map(min, t.cells)),
-             Model.DISJUNCTIVE: lambda t: min(t.disjuncts)}[table.model]
-    if table.model is not Model.DISJUNCTIVE and _pfd_holds(tuples, positions, budget):
-        return table if table.model is Model.STANDARD else _world(table.schema, map(least, tuples))
+    least = (lambda t: tuple(map(min, t.cells))) if table.model is Model.VAGUE else lambda t: min(t.disjuncts)
+    if table.model is Model.VAGUE and _pfd_holds(tuples, positions, budget):
+        return _world(table.schema, map(least, tuples))
     getters = [tuple(map(_getter, p)) for p in positions]
     bindings = [_lhs_keys(table.model, x_pos) for x_pos, _ in positions]
     _require_within(tuples, budget)

@@ -1,17 +1,14 @@
 """Constructive valuation of vague tables plus the matching-problem reduction.
 
 `seamless_valuation_pfd` turns a vague table whose PFDs all hold into one
-standard world satisfying every one of them: per attribute, pick a value for
-each still-ambiguous cell, flood the set of tuples that could agree on any
-determining lhs, and assign the choice uniformly across that set.  The flood
-is the whole connected component: agreement discovered through an
-intermediate tuple must drag the whole chain along, otherwise a later pick
-can contradict an earlier one (the one-sweep variant kept in the tests shows
-this).  Two tuples could agree on a lhs iff they share a binding of its lhs
-cells, so each attribute's components come from one pass over the tuples'
-lhs bindings that merges their holders: O(B + n log n), B the bindings of
-its minimal determining lhs sets, and shared by the attributes after it
-with the same sets until one of the sets' attributes is valued.
+standard world satisfying every one of them: the seed draws a random total
+order on each attribute's values, and each tuple takes, in each cell, the
+least value under its attribute's order.  Two such rows that share a binding
+of an FD's lhs have equal answer sets under it (pfd), so equal cells on its
+rhs outside the lhs, and so equal least values there: the world satisfies
+the whole set.  Across seeds each cell's value is uniform over its
+candidates, and equal cells always take equal values.  Cost: the pfd
+precondition, then O(total cell size).
 
 `generate_3dm_reduction` builds, from a 3-dimensional matching instance, a
 vague table and three FDs whose joint (seamless) satisfiability is equivalent
@@ -53,49 +50,14 @@ def seamless_valuation_rows(
     if table.model is Model.STANDARD:
         return [t.values for t in table.tuples]
 
-    schema = table.schema
+    # Any total order per attribute will do; sorted first, so the shuffle does not depend on the hash seed.
     rng = random.Random(seed)
-    cells = [list(t.cells) for t in table.tuples]
-    floods = {}  # (minimal lhs sets, their positions valued so far) -> components
-
-    for a_pos, attr in enumerate(schema):
-        # X -> Y splits losslessly into X -> A for A in Y-X on vague tables.
-        # Tuples sharing a binding of X share one of any X' inside X, and a
-        # cell changes only at its attribute's step, so the components of
-        # "could agree on a determining lhs" (share a binding of its lhs
-        # cells) come from the minimal lhs sets, once per valued state:
-        # merge the holders of each binding, moving the smaller component.
-        determining = {x for x, y in positions if a_pos in y and a_pos not in x}
-        minimal = frozenset(x for x in determining if not any(set(w) < set(x) for w in determining))
-        key = minimal, frozenset(p for x in minimal for p in x if p < a_pos)
-        group = floods.get(key)
-        if group is None:
-            group = floods[key] = [[j] for j in range(len(cells))]
-            for pos in minimal:
-                first = {}
-                for j, row in enumerate(cells):
-                    for binding in itertools.product(*(row[p] for p in pos)):
-                        a, b = group[j], group[first.setdefault(binding, j)]
-                        small, big = (b, a) if len(b) < len(a) else (a, b)
-                        if big is not small:
-                            big.extend(small)
-                            for k in small:
-                                group[k] = big
-        for i in range(len(cells)):
-            if len(cells[i][a_pos]) <= 1:
-                continue
-            choice = rng.choice(sorted(cells[i][a_pos]))
-            picked = frozenset((choice,))
-            for j in group[i]:
-                # A component is closed: every member still carries the
-                # seed's cell, so the choice is always available.
-                if choice not in cells[j][a_pos]:
-                    raise AssertionError(
-                        f"cell ({j}, {attr}) would be reassigned from "
-                        f"{cells[j][a_pos]} to {choice!r}"
-                    )
-                cells[j][a_pos] = picked
-    return [tuple(next(iter(c)) for c in row) for row in cells]
+    ranks = []
+    for column in zip(*(t.cells for t in table.tuples)):
+        values = sorted(set().union(*column))
+        rng.shuffle(values)
+        ranks.append(dict(zip(values, range(len(values)))).__getitem__)
+    return [tuple(min(c, key=rank) for c, rank in zip(t.cells, ranks)) for t in table.tuples]
 
 
 def seamless_valuation_pfd(

@@ -6,11 +6,10 @@ for strong and weak, every possible world.  The library's pairwise finders
 must return the same `Violation` (reason, pair, binding, note) while doing
 linear or hoisted work; strong and weak must return the same verdicts.  The
 closure oracles repeat full passes over the FD list, and the proof checker
-rebuilds each rule's conclusion and compares it whole.  The worklist flood
-grows each valuation group by pairwise cell intersections, the one-sweep
-flood shows why the valuation flood must take whole components, and the
-per-attribute flood tests each FD's pfd and rebuilds each attribute's
-components from every determining lhs.  rm's
+rebuilds each rule's conclusion and compares it whole.  The valuation's
+precondition is tested FD by FD, and the one-sweep valuation shows why
+picking a value per ambiguous cell must drag along every tuple linked to
+it, not only those one sweep meets.  rm's
 resemblance takes both overlap ratios of each pair of cells.  The row-set
 index keeps every answer set whole, for any mix of tuple models.
 """
@@ -451,9 +450,10 @@ def check_derivation(fds, derivation) -> bool:
 
 
 def one_pass_valuation_rows(table, fds, seed=DEFAULT_SEED):
-    """The valuation flood with one sweep over the tuples per ambiguous cell,
-    in place of the whole component: a tuple linked to the group only through
-    a later tuple is missed, so a later pick can overwrite an earlier one."""
+    """A valuation that picks a value per ambiguous cell and spreads it with
+    one sweep over the tuples, in place of every tuple linked to the cell's:
+    a tuple linked to the group only through a later tuple is missed, so a
+    later pick can overwrite an earlier one."""
     schema = table.schema
     rng = random.Random(seed)
     cells = [[set(c) for c in t.cells] for t in table.tuples]
@@ -472,39 +472,10 @@ def one_pass_valuation_rows(table, fds, seed=DEFAULT_SEED):
     return [tuple(next(iter(c)) for c in row) for row in cells]
 
 
-def worklist_valuation_rows(table, fds, seed=DEFAULT_SEED):
-    """The valuation flood grown from a worklist per ambiguous cell: each
-    member is expanded once against every tuple, and two tuples could agree
-    on a determining lhs when their cells intersect at every lhs position.
-    `seamless_valuation_rows` must return the same rows."""
-    schema = table.schema
-    rng = random.Random(seed)
-    cells = [[set(c) for c in t.cells] for t in table.tuples]
-    for a_pos, attr in enumerate(schema):
-        determining = list(dict.fromkeys(schema.positions(f.lhs) for f in fds if attr in f.rhs - f.lhs))
-        for i in range(len(cells)):
-            if len(cells[i][a_pos]) <= 1:
-                continue
-            choice = rng.choice(sorted(cells[i][a_pos]))
-            group = {i}
-            frontier = [i]
-            while frontier:
-                k = frontier.pop()
-                for j in range(len(cells)):
-                    if j not in group and any(all(cells[j][p] & cells[k][p] for p in pos) for pos in determining):
-                        group.add(j)
-                        frontier.append(j)
-            for j in group:
-                assert choice in cells[j][a_pos]
-                cells[j][a_pos] = {choice}
-    return [tuple(next(iter(c)) for c in row) for row in cells]
-
-
-def per_attribute_valuation_rows(table, fds, seed=DEFAULT_SEED):
-    """The valuation flood with its precondition tested FD by FD and each
-    attribute's components rebuilt from every lhs that determines it, on the
-    cells as earlier attributes' picks have narrowed them.
-    `seamless_valuation_rows` must return the same rows, or raise the same error."""
+def valuation_precondition(table, fds):
+    """The valuation's precondition, FD by FD: ModelError on a disjunctive
+    table, an unknown attribute before any pfd test, then
+    PfdPreconditionError naming the first FD that fails as a pfd."""
     if table.model is Model.DISJUNCTIVE:
         raise ModelError("the valuation algorithm is defined for vague tables")
     for f in fds:  # an unknown attribute fails before any pfd test
@@ -512,28 +483,3 @@ def per_attribute_valuation_rows(table, fds, seed=DEFAULT_SEED):
     for f in fds:
         if not check_pfd(table, f):
             raise PfdPreconditionError(f)
-    if table.model is Model.STANDARD:
-        return [t.values for t in table.tuples]
-    schema = table.schema
-    rng = random.Random(seed)
-    cells = [list(t.cells) for t in table.tuples]
-    for a_pos, attr in enumerate(schema):
-        determining = list(dict.fromkeys(schema.positions(f.lhs) for f in fds if attr in f.rhs - f.lhs))
-        group = [{j} for j in range(len(cells))]
-        for pos in determining:
-            first = {}
-            for j, row in enumerate(cells):
-                for binding in itertools.product(*(row[p] for p in pos)):
-                    k = first.setdefault(binding, j)
-                    if group[k] is not group[j]:
-                        merged = group[k] | group[j]
-                        for m in merged:
-                            group[m] = merged
-        for i in range(len(cells)):
-            if len(cells[i][a_pos]) <= 1:
-                continue
-            choice = rng.choice(sorted(cells[i][a_pos]))
-            for j in group[i]:
-                assert choice in cells[j][a_pos]
-                cells[j][a_pos] = frozenset((choice,))
-    return [tuple(next(iter(c)) for c in row) for row in cells]

@@ -86,7 +86,7 @@ VALUATION_DEMO_EXPECTED = Table.standard(["A", "B", "C"], [
     ("a1", "b1", "c2"),
     ("a2", "b1", "c2"),
 ])
-VALUATION_DEMO_B1_SEED = 1  # Random(1) picks b1 from {b1, b2}
+VALUATION_DEMO_B1_SEED = 4  # Random(4) orders b1 before b2
 
 # Matching instance with unique solution {t1, t2, t3}.
 MATCHING_INSTANCE = ThreeDMInstance(
@@ -102,7 +102,7 @@ MATCHING_WITNESS = Table.standard(["X", "Y", "Z", "T"], [
     ("c", "3", "C", "t3"),
 ])
 
-# PFD holds for both FDs, yet the one-pass flood mis-values this table for
+# PFD holds for both FDs, yet the one-pass valuation mis-values this table for
 # some seeds: the chain tuple sorts after the tuple it links.
 ONE_PASS_TRAP = Table.vague(["A", "B", "C"], [
     ("a1", {"b1", "b2"}, "c1"),
@@ -152,6 +152,16 @@ EARLY_DEAD_END = Table.vague(["A", "B", "C"], [
 # tuple 1 before that dead end (least budget 5); keyed by the plain size, the
 # empty domain is branched on at once (least budget 4).
 EMPTY_DOMAIN_FIRST = Table.vague(["A"], [({"a", "b"},), ({"a", "b", "c"},), ({"b", "c"},)])
+
+
+# Standard, A->C: violated only by the last two rows (A = zz).  The 30 groups
+# before them are two rows each that agree on C, so a search would try a row
+# per tuple, past a cap of 10, before it met them.
+STANDARD_LATE_VIOLATION = Table.standard(["A", "B", "C"], [
+    *((f"g{i:02d}", f"b{k}", f"c{i}") for i in range(30) for k in range(2)),
+    ("zz", "p", "q"),
+    ("zz", "p2", "r"),
+])
 
 
 def wide_rhs(width: int) -> tuple:

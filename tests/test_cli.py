@@ -252,6 +252,14 @@ class TestCliCheck:
                 "--semantics", sem, "--cap", "1",
             ) == 2
 
+    @pytest.mark.parametrize("semantics", ["weak", "seamless"])
+    def test_cap_bounds_no_search_on_a_standard_table(self, semantics, tmp_path):
+        # The violating pair comes after 60 tuples, yet the answer is "violated", not a budget error.
+        table, fds = tmp_path / "late.stab", tmp_path / "late.fds"
+        table.write_text(serialize_table(T.STANDARD_LATE_VIOLATION))
+        fds.write_text(serialize_fds([T.AC]))
+        assert run_cli("check", "--table", str(table), "--fds", str(fds), "--semantics", semantics, "--cap", "10") == 1
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_cap_leaves_vertical_on_disjunctive_tuples_alone(self, fmt):
         # The second tuple has 4 disjuncts, over the cap of 3; they are

@@ -1,8 +1,8 @@
 """The hash-linear finders agree with their pairwise definitions, strong
 and weak agree with their possible-world definitions, the forward-checked
 seamless search returns the plain search's world (and the worlds and step
-counts pinned from the full-scan search), the component valuation
-flood returns the worklist flood's rows, and the linear closure gives the
+counts pinned from the full-scan search), the valuation meets its FD-by-FD
+precondition or returns a world, and the linear closure gives the
 pass loop's closures and the restart-from-the-top derivations."""
 
 import collections
@@ -15,8 +15,8 @@ import pytest
 
 from fdlab import (
     Derivation, FunctionalDependency, PfdIndex, StandardTuple, Table, ValuationBudgetExceeded, attribute_closure,
-    check_derivation, check_pfd, check_seamless, check_weak, derive, generate_3dm_reduction, implies, parse_fds,
-    parse_table, resemblance, seamless_valuation_rows, select,
+    check_derivation, check_pfd, check_seamless, check_standard, check_weak, derive, generate_3dm_reduction, implies,
+    parse_fds, parse_table, resemblance, seamless_valuation_rows, select,
 )
 from fdlab.armstrong import AUGMENTATION
 from fdlab.semantics import (
@@ -458,7 +458,7 @@ def test_an_empty_domain_is_a_dead_end_at_once():
     assert budget == 4
 
 
-def _flood_cases(rng, count=300, max_tuples=8):
+def _pfd_holding_cases(rng, count=300, max_tuples=8):
     """Vague tables with FD sets that hold under pfd: random FDs, an empty
     lhs (over a column planted equal in every tuple, so it always holds), a
     two-attribute lhs, and a duplicate of one of them."""
@@ -474,12 +474,12 @@ def _flood_cases(rng, count=300, max_tuples=8):
         if len(attrs) > 2:
             cands.append(FunctionalDependency(rng.sample(attrs, 2), rng.sample(attrs, 1)))
         fds = [f for f in cands if check_pfd(table, f)]
-        yield table, fds + rng.sample(fds, 1), rng.randrange(100)
+        yield table, fds + rng.sample(fds, 1)
 
 
 # Under A -> D, tuples 1-2 and 3-6 form two groups; under B -> D, tuple 0
 # joins the group of 1-2, which then meets the larger group through 2 and 3.
-# Every member of the smaller group, tuple 0 included, must join the larger.
+# Every tuple, tuple 0 included, must take one D value.
 MERGE_TRAP = Table.vague(["K", "A", "B", "D"], [
     (f"k{i}", a, b, {"d1", "d2"})
     for i, (a, b) in enumerate([("a0", "b1"), ("a1", "b1"), ("a1", "b2"), ("a2", "b2"),
@@ -487,25 +487,10 @@ MERGE_TRAP = Table.vague(["K", "A", "B", "D"], [
 ])
 MERGE_TRAP_FDS = [FunctionalDependency({"A"}, {"D"}), FunctionalDependency({"B"}, {"D"})]
 
-# The P cells share u, so the two tuples could agree on P in the table as
-# given; once P is valued, they can agree only if both picked u.  A's
-# components must come from the narrowed P cells, not the original ones.
+# The P cells share u, so the two tuples agree on P in the worlds where both
+# take u, and there they must agree on A.
 NARROWED_LHS = Table.vague(["P", "A"], [[{"u", "v"}, {"x", "y"}], [{"u", "w"}, {"x", "y"}]])
 NARROWED_LHS_FDS = [FunctionalDependency({"P"}, {"A"})]
-
-
-def test_valuation_flood_returns_the_worklist_floods_rows():
-    trap = [(MERGE_TRAP, MERGE_TRAP_FDS, pick) for pick in range(8)]
-    trap += [(NARROWED_LHS, NARROWED_LHS_FDS, pick) for pick in range(50)]
-    for table, fds, pick in trap:
-        assert seamless_valuation_rows(table, fds, seed=pick) == O.worklist_valuation_rows(table, fds, seed=pick)
-    empty = wide = 0
-    for seed, max_tuples in ((21, 8), (22, 8), (23, 8), (24, 20), (25, 20)):
-        for table, fds, pick in _flood_cases(random.Random(seed), max_tuples=max_tuples):
-            assert seamless_valuation_rows(table, fds, seed=pick) == O.worklist_valuation_rows(table, fds, seed=pick)
-            empty += any(not f.lhs and len(table) > 1 for f in fds)
-            wide += any(len(f.lhs - f.rhs) > 1 and len(table) > 1 for f in fds)
-    assert empty > 300 and wide > 200
 
 
 def _cover_cases(rng, count):
@@ -581,28 +566,41 @@ def _lhs_between_cases(rng, count):
         yield Table.vague(attrs, rows), rng.sample(fds, rng.randint(1, 4))
 
 
-def test_valuation_flood_returns_the_per_attribute_floods_rows():
-    # Each attribute floods only its minimal determining lhs sets, once per
-    # valued state of their attributes; the per-attribute oracle rebuilds
-    # every attribute's components from every lhs.  P valued between two
-    # attributes it determines must not reuse the first one's components.
+def test_valuation_meets_its_precondition_or_returns_a_world():
+    # Each call raises what the FD-by-FD precondition raises, or returns the
+    # rows of a world of the table that satisfies every FD, the same rows on
+    # a repeat call with the seed.  P valued between two attributes it
+    # determines, and groups linked through a third tuple, are among them.
     def outcome(fn):
         try:
             return fn()
         except Exception as exc:
             return type(exc), str(exc)
 
-    flooded = 0
-    cases = list(_lhs_between_cases(random.Random(28), 600))
-    cases += [(table, fds) for table, fds, _ in _flood_cases(random.Random(29), 200)]
+    trap = [(MERGE_TRAP, MERGE_TRAP_FDS), (NARROWED_LHS, NARROWED_LHS_FDS)]
+    cases = trap + list(_lhs_between_cases(random.Random(28), 600))
+    for seed, max_tuples in ((21, 8), (22, 8), (23, 8), (24, 20), (25, 20), (29, 8)):
+        cases += _pfd_holding_cases(random.Random(seed), max_tuples=max_tuples)
     cases += [(table, rand_fd_set(random.Random(k), table.schema.attributes, 4))
               for k, table in enumerate(rand_vague_table(random.Random(30), 4, 6) for _ in range(200))]
+    valued = empty = wide = 0
     for table, fds in cases:
+        want = outcome(lambda: O.valuation_precondition(table, fds))
         for seed in range(3):
             got = outcome(lambda: seamless_valuation_rows(table, fds, seed))
-            assert got == outcome(lambda: O.per_attribute_valuation_rows(table, fds, seed))
-            flooded += type(got) is list
-    assert flooded > 1200
+            if want is not None:
+                assert got == want
+                continue
+            assert type(got) is list and got == seamless_valuation_rows(table, fds, seed)
+            assert len(got) == len(table)
+            for t, row in zip(table.tuples, got):
+                assert all(v in cell for v, cell in zip(row, t.cells))
+            world = Table.standard(table.schema, got)
+            assert all(check_standard(world, f) for f in fds)
+            valued += 1
+            empty += any(not f.lhs and len(table) > 1 for f in fds)
+            wide += any(len(f.lhs - f.rhs) > 1 and len(table) > 1 for f in fds)
+    assert valued > 6000 and len(cases) * 3 - valued > 600 and empty > 3000 and wide > 1000
 
 
 def test_contributions_follow_the_definition():

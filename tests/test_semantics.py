@@ -176,6 +176,13 @@ class TestSeamless:
         # A trivial FD reads no lhs binding, and pfd holds: the least world answers.
         assert check_seamless(r, [fd("A", "A")], budget=2) == Table.standard(["A", "B"], [("a", "x")])
 
+    def test_standard_tables_are_decided_without_a_search(self):
+        # A standard table is its own only world, so no cap is reached there.
+        r = T.STANDARD_LATE_VIOLATION
+        assert all(check_seamless(r, [T.AC], budget) is None for budget in (1, 10, 40))
+        assert check_weak(r, T.AC, 10) is False
+        assert check_seamless(r, [fd("A B", "C")], 1) == r
+
     def test_search_depth_is_not_bounded_by_the_stack(self):
         # One search level per tuple: a recursive search overflows here.
         r = Table.standard(["A", "B"], [(f"a{i:05d}", f"b{i % 50}") for i in range(1_500)])

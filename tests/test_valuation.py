@@ -35,12 +35,15 @@ class TestSeamlessValuation:
         assert world == T.VALUATION_DEMO_EXPECTED
 
     def test_every_seed_yields_a_uniform_choice(self):
+        reached = set()
         for seed in range(8):
             world = seamless_valuation_pfd(T.VALUATION_DEMO, T.VALUATION_DEMO_FDS, seed=seed)
             bs = {t.values[1] for t in world.tuples}
             assert len(bs) == 1
             for f in T.VALUATION_DEMO_FDS:
                 assert check_standard(world, f)
+            reached |= bs
+        assert reached == {"b1", "b2"}
 
     def test_standard_table_passes_through(self):
         t = Table.standard(["A", "B"], [("a", "b"), ("a2", "b2")])
@@ -85,9 +88,9 @@ class TestSeamlessValuation:
             for f in fds:
                 assert check_standard(world, f)
 
-    def test_flood_is_near_linear(self):
-        # 2,000 tuples; flooding each ambiguous cell by pairwise scans takes
-        # well over 15 s.
+    def test_valuation_is_near_linear(self):
+        # 2,000 tuples; spreading each ambiguous cell's pick by pairwise
+        # scans takes well over 15 s.
         table, fds = grouped_vague_table(random.Random(2), 2_000)
         start = time.perf_counter()
         rows = seamless_valuation_rows(table, fds)
@@ -95,10 +98,10 @@ class TestSeamlessValuation:
         world = Table.standard(table.schema, rows)
         assert all(check_standard(world, f) for f in fds)
 
-    def test_one_pass_flood_is_insufficient(self):
+    def test_one_pass_valuation_is_insufficient(self):
         # The chain tuple sorts after the tuple it links, so a single sweep
         # misses it and a later pick can contradict the earlier assignment.
-        # The component flood never does.
+        # The least values under one order per attribute never do.
         for f in T.ONE_PASS_FDS:
             assert check_pfd(T.ONE_PASS_TRAP, f)
         failures = []
@@ -109,7 +112,7 @@ class TestSeamlessValuation:
                 failures.append(seed)
             fixed = seamless_valuation_pfd(T.ONE_PASS_TRAP, T.ONE_PASS_FDS, seed=seed)
             assert all(check_standard(fixed, f) for f in T.ONE_PASS_FDS)
-        assert failures, "expected at least one seed to expose the one-pass flood"
+        assert failures, "expected at least one seed to expose the one-pass valuation"
 
 
 class TestReduction:
