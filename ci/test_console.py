@@ -108,6 +108,18 @@ def test_weak_cap_counts_valuations_not_free_standing_tuples(fdlab, tmp_path):
     assert fdlab(*argv, "--cap", "1").returncode == 2
 
 
+def test_trivial_fds_are_not_searched(fdlab, tmp_path):
+    # Six two-disjunct tuples share A = a, and A -> A holds in every world.
+    # The search reads the FD set's cover, which leaves it out, so no tuple
+    # is searched and the cap bounds only the two valuations per tuple.
+    table, fds = tmp_path / "six.dtab", tmp_path / "aa.fds"
+    table.write_text("#model: disjunctive\nA,B\n" + "".join(f"(a,b{i})||(a,c{i})\n" for i in range(6)))
+    fds.write_text("A -> A\n")
+    proc = fdlab("check", "--table", str(table), "--fds", str(fds), "--semantics", "seamless", "--cap", "2")
+    assert proc.returncode == 0
+    assert "witness: a,b0; a,b1; a,b2; a,b3; a,b4; a,b5" in proc.stdout.splitlines()
+
+
 def test_verdict_labels_and_comment_like_values(fdlab, tmp_path):
     argv = ["check", "--table", "tests/data/transitivity_trap.vtab", "--fds", "tests/data/chain.fds", "--format", "json"]
     proc = fdlab(*argv, "--semantics", "weak")

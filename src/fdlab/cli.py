@@ -5,8 +5,9 @@ violated or no witness exists, 2 usage, parse, model, or budget errors, and
 any unexpected error (its traceback goes to stderr).  `check --cap N` sets
 the valuation cap: lhs bindings per tuple for pfd and strong; for seamless
 and weak, those of the lhs sets their pfd test reads and, past it, valuations
-per tuple and search steps (one pfd pass decides a standard table, which is
-never searched); for vertical, lhs bindings per vague tuple and the
+per tuple and search steps; both read the FD set's cover, so trivial and
+implied FDs read no binding and link no tuples, and a standard table is
+never searched.  For vertical, lhs bindings per vague tuple and the
 valuations of each reported vague tuple; pairs compared for rm.
 `worlds --cap N` bounds the valuations of the whole table, one product step
 each.  The cap defaults to 1,000,000, and a cap below 1 is a usage error.

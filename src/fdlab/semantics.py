@@ -215,23 +215,28 @@ def _binder(x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP):
     return lambda t: kernels[type(t)](t)
 
 
-def _pfd_holds(tuples: tuple, positions: list, cap: int) -> bool:
-    """Whether every FD, as (X, Y) positions, holds as a pfd on vague or
-    standard `tuples`, where answers are products of cells: X -> Y holds iff
-    X -> A does for each A in Y - X, and X -> A gives XZ -> A.  So one pass
-    per lhs, up to the first binding two tuples answer differently, tests
-    the rhs its FDs unite, unless the lhs sets inside it give them all (as
-    for trivial FDs).  False once a tuple has more than `cap` bindings of a
-    lhs it reads."""
+def _cover(schema, fds: Iterable[FunctionalDependency]) -> list:
+    """The FD set's cover as sorted (X, Y) position pairs, one per lhs X: the
+    rhs its FDs unite, less X, unless the lhs sets strictly inside X give it
+    all (as for trivial FDs).  A world satisfies the set iff it satisfies the
+    cover; as pfds too, since X -> A gives XZ -> A.  Unknown names: SchemaError."""
     rhs = {}
-    for x_pos, y_pos in positions:
+    for x_pos, y_pos in (_fd_positions(schema, fd) for fd in fds):
         rhs.setdefault(frozenset(x_pos), set()).update(set(y_pos) - set(x_pos))
+    return [(tuple(sorted(x)), tuple(sorted(y))) for x, y in rhs.items()
+            if y - set().union(*(z for w, z in rhs.items() if w < x))]
+
+
+def _pfd_holds(tuples: tuple, cover: list, cap: int) -> bool:
+    """Whether every FD of a `_cover` holds as a pfd on vague or standard
+    `tuples`, where answers are products of cells: one pass per lhs, up to
+    the first binding two tuples answer differently.  False once a tuple has
+    more than `cap` bindings of a lhs."""
     try:
-        for x, y in rhs.items():
-            if y - set().union(*(z for w, z in rhs.items() if w < x)):
-                bind, first = _binder(tuple(sorted(x)), tuple(sorted(y)), cap), {}
-                if any(first.setdefault(k, a) != a for t in tuples for k, a in bind(t)):
-                    return False
+        for x_pos, y_pos in cover:
+            bind, first = _binder(x_pos, y_pos, cap), {}
+            if any(first.setdefault(k, a) != a for t in tuples for k, a in bind(t)):
+                return False
     except ValuationBudgetExceeded:  # the callers' own paths raise it, or name an FD that fails first
         return False
     return True
@@ -373,52 +378,51 @@ def check_seamless(
 ) -> Optional[Table]:
     """A world satisfying every FD in the set at once, or None.
 
-    A standard table is its own only world: one pfd pass per lhs
-    (`_pfd_holds`) decides it, and it is never searched.  If every FD holds
-    as a pfd on a vague table, the world of least valuations satisfies the
-    set (least rows sharing a binding have equal answer sets, so equal least
-    rhs values) and is returned.  Otherwise, and on disjunctive tables,
-    where pfd gives no joint world: exhaustive backtracking over per-tuple
-    valuations, kept on an explicit stack so that its depth is not bounded
-    by the interpreter's.  Each unassigned tuple keeps its domain, the
-    valuations compatible with the choices so far: a row that opens a new
-    lhs binding re-filters only that binding's unassigned holders (forward
-    checking over a `binding -> tuples` index), and backtracking undoes each
-    frame's own row.  The smallest domain is branched on (fail-first, the
-    lowest index on ties), so an empty one, a dead end, is met as soon as it
-    appears; a lazy heap keyed by (domain size, index) finds it.  After the first dead end, a row is no longer
-    tried when it gives a binding an rhs value that a tuple with that single
-    lhs binding cannot take.  A free-standing tuple, one that shares no lhs
-    binding with another tuple under any FD, is in no conflict: it takes its
-    least valuation outside the search, the row the search would end with.
-    On a vague or disjunctive table, raises ValuationBudgetExceeded if a
-    tuple has more than `budget` bindings of a lhs the pfd test reads, then,
-    past it, if it has more valuations, and once the search tries more than
-    `budget` rows.  Cost: linear in the bindings of the lhs sets that test
-    reads; past the pfd test, exponential in the valuations of the tuples
-    that are not free-standing, the only ones listed, in the worst case (the
-    problem is NP-complete); without backtracking, each new binding filters
-    its holders once per FD, and each node costs O(log n) heap work per
-    domain that changed.
+    The set is read as its `_cover`, which has the same worlds, so trivial and
+    implied FDs are neither tested nor searched.  The cover's pfd pass decides
+    a standard table, its own only world.  If the cover holds as pfds on a
+    vague table, the world of least valuations satisfies it (least rows sharing
+    a binding have equal answer sets, so equal least rhs values) and is
+    returned.  Otherwise, and on disjunctive tables, where pfd gives no joint
+    world: exhaustive backtracking over per-tuple valuations, on an explicit
+    stack so that its depth is not bounded by the interpreter's.  Each
+    unassigned tuple keeps its domain, the valuations compatible with the
+    choices so far: a row that opens a new lhs binding re-filters only that
+    binding's unassigned holders (forward checking over a `binding -> tuples`
+    index), and backtracking undoes each frame's own row.  The smallest domain
+    is branched on (fail-first, the lowest index on ties), so an empty one, a
+    dead end, is met as soon as it appears; a lazy heap keyed by (domain size,
+    index) finds it.  After the first dead end, a row is no longer tried when
+    it gives a binding an rhs value that a tuple with that single lhs binding
+    cannot take.  A free-standing tuple, one that shares no lhs binding with
+    another tuple under any cover FD, is in no conflict: it takes its least
+    valuation outside the search, the row the search would end with.  On a
+    vague or disjunctive table, raises ValuationBudgetExceeded if a tuple has
+    more than `budget` bindings of a cover lhs, then, past the pfd test, if it
+    has more valuations, and once the search tries more than `budget` rows.
+    Cost: linear in the bindings of the cover's lhs sets; past the pfd test,
+    exponential in the valuations of the tuples that are not free-standing, the
+    only ones listed, in the worst case (the problem is NP-complete); without
+    backtracking, each new binding filters its holders once per cover FD, and
+    each node costs O(log n) heap work per domain that changed.
     """
-    fds = list(fds)
-    positions = [_fd_positions(table.schema, fd) for fd in fds]
+    cover = _cover(table.schema, fds)
     tuples = table.tuples
     if table.model is Model.STANDARD:  # its own only world, which pfd decides exactly
-        return table if _pfd_holds(tuples, positions, budget) else None
+        return table if _pfd_holds(tuples, cover, budget) else None
     # Each tuple's least valuation, `next(t.valuations())` without sorting a cell.
     least = (lambda t: tuple(map(min, t.cells))) if table.model is Model.VAGUE else lambda t: min(t.disjuncts)
-    if table.model is Model.VAGUE and _pfd_holds(tuples, positions, budget):
+    if table.model is Model.VAGUE and _pfd_holds(tuples, cover, budget):
         return _world(table.schema, map(least, tuples))
-    getters = [tuple(map(_getter, p)) for p in positions]
-    bindings = [_lhs_keys(table.model, x_pos) for x_pos, _ in positions]
+    getters = [tuple(map(_getter, p)) for p in cover]
+    bindings = [_lhs_keys(table.model, x_pos) for x_pos, _ in cover]
     _require_within(tuples, budget)
     # Per FD: binding -> the tuples holding it.  The entry of a binding that
     # a chosen row opened is away, in that row's undo log.  free[j]: tuple j
     # is searched and unassigned.  A free-standing tuple, the only holder of
     # each of its bindings, is never searched: no row of it narrows a domain
     # or is narrowed.
-    holders = [dict() for _ in fds]
+    holders = [dict() for _ in cover]
     free = [False] * len(tuples)
     for j, t in enumerate(tuples):
         for h, keys in zip(holders, bindings):

@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 from .errors import ModelError, ParseError, PfdPreconditionError, ReductionError
 from .model import DEFAULT_VALUATION_CAP, Memo, Model, Schema, Table, VagueTuple, _world, check_value
-from .semantics import FunctionalDependency, _fd_positions, _pfd_holds, check_pfd
+from .semantics import FunctionalDependency, _cover, _pfd_holds, check_pfd
 
 DEFAULT_SEED = 0
 
@@ -43,8 +43,7 @@ def seamless_valuation_rows(
     if table.model is Model.DISJUNCTIVE:
         raise ModelError("the valuation algorithm is defined for vague tables")
     fds = list(fds)  # read twice when the cover fails
-    positions = [_fd_positions(table.schema, fd) for fd in fds]  # an unknown attribute fails alike whatever the FD order
-    for fd in () if _pfd_holds(table.tuples, positions, DEFAULT_VALUATION_CAP) else fds:
+    for fd in () if _pfd_holds(table.tuples, _cover(table.schema, fds), DEFAULT_VALUATION_CAP) else fds:
         if not check_pfd(table, fd):  # the first FD that fails, in FD order
             raise PfdPreconditionError(fd)
     if table.model is Model.STANDARD:

@@ -22,6 +22,7 @@ from fdlab.armstrong import AUGMENTATION
 from fdlab.semantics import (
     DEFAULT_VALUATION_CAP,
     _binder,
+    _cover,
     _fd_positions,
     _pfd_holds,
     find_strong_violation,
@@ -292,8 +293,12 @@ PINNED_3DM = [
 # 10, 12, 14, 18, 22, 24, 30, 34 and 38, vague tables whose FDs all hold as
 # pfds (each is trivial, or there is none), the pfd test answers without the
 # search: the least budget is the most bindings of a lhs its cover reads,
-# and 1 where it reads none.
-PINNED_BUDGETS = [1, 4, 4, 4, 6, 2, 3, 3, 3, 2, 1, 3, 1, 2, 1, 3, 4, 1, 1, 3, 18, 3, 1, 4, 1, 3, 18, 3, 6, 3, 1, 2, 6, 3, 1, 3, 3, 2, 1, 3]
+# and 1 where it reads none.  In cases 1 and 23 the search reads the cover,
+# which leaves out ` -> `: case 1 searches `A1 -> A0` alone, and case 23,
+# whose cover is empty, searches no tuple.
+PINNED_BUDGETS = [1, 3, 4, 4, 6, 2, 3, 3, 3, 2, 1, 3, 1, 2, 1, 3, 4, 1, 1, 3, 18, 3, 1, 3, 1, 3, 18, 3, 6, 3, 1, 2, 6, 3, 1, 3, 3, 2, 1, 3]
+# The same budgets when the search read every FD as given.  Each stays an upper bound.
+BUDGETS_EACH_FD_SEARCHED = [1, 4, 4, 4, 6, 2, 3, 3, 3, 2, 1, 3, 1, 2, 1, 3, 4, 1, 1, 3, 18, 3, 1, 4, 1, 3, 18, 3, 6, 3, 1, 2, 6, 3, 1, 3, 3, 2, 1, 3]
 # The same budgets when the pfd test read every FD's lhs bindings.  Each stays an upper bound.
 BUDGETS_EACH_LHS_READ = [6, 4, 4, 4, 6, 2, 3, 3, 3, 2, 1, 3, 3, 2, 1, 3, 4, 1, 3, 3, 18, 3, 1, 4, 3, 3, 18, 3, 6, 3, 1, 2, 6, 3, 1, 3, 3, 2, 3, 3]
 # The same budgets when every table was searched.  Each stays an upper bound.
@@ -323,7 +328,8 @@ def test_search_worlds_and_steps_are_pinned():
     for k in range(40):
         table = GENERATORS[1 + k % 2](rng, max_attrs=4, max_tuples=10)
         budgets.append(_least_budget(table, rand_fd_set(rng, table.schema.attributes, max_fds=4)))
-    for bounds in (BUDGETS_WITH_FREE_STANDING_CHARGED, BUDGETS_ALL_SEARCHED, BUDGETS_EACH_LHS_READ):
+    for bounds in (BUDGETS_WITH_FREE_STANDING_CHARGED, BUDGETS_ALL_SEARCHED, BUDGETS_EACH_LHS_READ,
+                   BUDGETS_EACH_FD_SEARCHED):
         assert all(b <= old for b, old in zip(budgets, bounds))
     assert budgets == PINNED_BUDGETS
 
@@ -365,21 +371,32 @@ def test_pfd_gives_no_joint_world_on_disjunctive_tables():
     assert check_seamless(table, fds) is None
 
 
-def _step_cases(rng, count):
-    """(index, table, FD set) for `count` seeded disjunctive tables of 20-40
-    distinct tuples with 1-3 disjuncts each, and random FD sets.  A table
-    with fewer distinct tuples is drawn again."""
+def _step_cases(rng, count, fewest=20, most=40, linked=False):
+    """(index, table, FD set) for `count` seeded disjunctive tables of
+    `fewest`-`most` distinct tuples with 1-3 disjuncts each, and random FD
+    sets; `linked` keeps only FD sets whose cover is not empty, so that the
+    search reads some FD.  A table with fewer distinct tuples, or an FD set
+    left out, is drawn again."""
     for k in range(count):
-        table = rand_disjunctive_table(rng, max_attrs=5, max_tuples=40)
-        while len(table.tuples) < 20:
-            table = rand_disjunctive_table(rng, max_attrs=5, max_tuples=40)
-        yield k, table, rand_fd_set(rng, table.schema.attributes, max_fds=4)
+        table = rand_disjunctive_table(rng, max_attrs=5, max_tuples=most)
+        while len(table.tuples) < fewest:
+            table = rand_disjunctive_table(rng, max_attrs=5, max_tuples=most)
+        fds = rand_fd_set(rng, table.schema.attributes, max_fds=4)
+        while linked and not _cover(table.schema, fds):
+            fds = rand_fd_set(rng, table.schema.attributes, max_fds=4)
+        yield k, table, fds
 
 
 # Least budgets of `_step_cases(Random(23), 200)` by index, for every case
 # above the valuation floor.  Every other case is at the floor (every row of
-# the first branched tuple dead-ends at once), which hides its step count.
-PINNED_STEPS = {
+# the first branched tuple dead-ends at once, or the FD set's cover is empty
+# and no tuple is searched), which hides its step count.
+PINNED_STEPS = {77: 17, 155: 4, 181: 4}
+# Earlier pins, when the search linked tuples through every FD as given.
+# The 28 pins that fell since are FD sets whose cover is empty (` -> `,
+# `A0 A2 A3 -> A3`, `A0 A1 -> A1; A0 -> ` and the like), now at the floor
+# of 3.  The step count can only fall, so each stays an upper bound.
+STEPS_EACH_FD_SEARCHED = {
     13: 27, 18: 23, 29: 24, 32: 36, 35: 25, 36: 22, 40: 22, 50: 35, 51: 22, 54: 20, 61: 35, 66: 32, 68: 29,
     77: 17, 79: 25, 84: 27, 94: 25, 95: 23, 111: 24, 130: 30, 131: 24, 142: 25, 155: 4, 159: 23, 161: 24,
     164: 25, 166: 20, 171: 25, 176: 31, 181: 4, 187: 29,
@@ -395,17 +412,29 @@ STEPS_WITH_FREE_STANDING_CHARGED = {
     69: 15, 70: 5,
 }
 STEPS_WITH_FREE_STANDING_SEARCHED = {69: 16}
+# Least budgets of `_step_cases(Random(29), 400, 10, 20, linked=True)` by
+# index, for every case above the valuation floor: FD sets that link tuples.
+PINNED_LINKED_STEPS = {
+    5: 13, 32: 5, 34: 12, 35: 4, 43: 9, 59: 10, 73: 10, 75: 6, 83: 5, 94: 6, 105: 5, 125: 12, 144: 9, 147: 10,
+    150: 4, 152: 12, 167: 4, 168: 16, 171: 4, 180: 4, 182: 4, 188: 4, 237: 5, 244: 9, 252: 5, 295: 4, 300: 9,
+    302: 17, 305: 4, 310: 6, 352: 15, 363: 19, 367: 4, 383: 5,
+}
+
+
+def _steps_above_the_floor(cases):
+    """Each case's least budget by index, and those above the valuation floor."""
+    budgets = {k: _least_budget(table, fds) for k, table, fds in cases}
+    floors = {k: max(t.valuation_count() for t in table.tuples) for k, table, _ in cases}
+    return budgets, {k: b for k, b in budgets.items() if b > floors[k]}
 
 
 def test_search_steps_are_pinned_above_the_valuation_floor():
-    above, budgets = {}, {}
-    for k, table, fds in _step_cases(random.Random(23), 200):
-        budgets[k] = _least_budget(table, fds)
-        if budgets[k] > max(t.valuation_count() for t in table.tuples):
-            above[k] = budgets[k]
-    for bounds in (STEPS_WITH_FREE_STANDING_CHARGED, STEPS_WITH_FREE_STANDING_SEARCHED):
+    budgets, above = _steps_above_the_floor(list(_step_cases(random.Random(23), 200)))
+    for bounds in (STEPS_EACH_FD_SEARCHED, STEPS_WITH_FREE_STANDING_CHARGED, STEPS_WITH_FREE_STANDING_SEARCHED):
         assert all(budgets[k] <= old for k, old in bounds.items())
     assert above == PINNED_STEPS
+    _, above = _steps_above_the_floor(list(_step_cases(random.Random(29), 400, 10, 20, linked=True)))
+    assert above == PINNED_LINKED_STEPS
 
 
 def test_free_standing_tuples_are_not_searched():
@@ -519,12 +548,30 @@ def test_the_cover_decides_the_fd_set_as_pfds():
     # FDs, and none for trivial or implied FDs; it must decide the whole set.
     held = skipped = 0
     for table, fds in _cover_cases(random.Random(27), 2400):
-        positions = [_fd_positions(table.schema, f) for f in fds]
         want = all(check_pfd(table, f) for f in fds)
-        assert _pfd_holds(table.tuples, positions, DEFAULT_VALUATION_CAP) == want
+        assert _pfd_holds(table.tuples, _cover(table.schema, fds), DEFAULT_VALUATION_CAP) == want
         held += want
         skipped += want and any(f.lhs < g.lhs and f.rhs - f.lhs and g.rhs - g.lhs <= f.rhs for f in fds for g in fds)
     assert 400 < held < 2000 and skipped > 100
+
+
+def test_the_cover_is_the_fd_set_with_one_fd_per_lhs():
+    # The cover and the set imply each other; each lhs appears once, with a
+    # non-empty rhs outside it, and both sides are sorted positions.
+    rng = random.Random(29)
+    empty = dropped = 0
+    for table, fds in _cover_cases(rng, 1200):
+        attrs = table.schema.attributes
+        fds.append(FunctionalDependency((), rng.sample(attrs, rng.randint(0, len(attrs)))))
+        pairs = _cover(table.schema, fds)
+        assert all(list(x) == sorted(x) and list(y) == sorted(y) for x, y in pairs)
+        cover = [FunctionalDependency(map(attrs.__getitem__, x), map(attrs.__getitem__, y)) for x, y in pairs]
+        assert all(implies(cover, f) for f in fds) and all(implies(fds, g) for g in cover)
+        assert len({g.lhs for g in cover}) == len(cover)
+        assert all(g.rhs and not g.lhs & g.rhs for g in cover)
+        empty += any(not g.lhs for g in cover)
+        dropped += len(cover) < len({f.lhs for f in fds})
+    assert empty > 800 and dropped > 800
 
 
 def test_the_cover_does_not_read_a_skipped_lhs_past_the_cap():
@@ -533,10 +580,10 @@ def test_the_cover_does_not_read_a_skipped_lhs_past_the_cap():
     fds = [T.fd("A", "C"), T.fd("A B", "C")]
     with pytest.raises(ValuationBudgetExceeded):
         check_pfd(table, fds[1], 2)
-    assert _pfd_holds(table.tuples, [_fd_positions(table.schema, f) for f in fds], 2)
+    assert _pfd_holds(table.tuples, _cover(table.schema, fds), 2)
     assert check_seamless(table, fds, 2) == Table.standard(["A", "B", "C"], [("a", "b0", "c"), ("a2", "b0", "c")])
     # Read, the same lhs is past the cap: the pfd test gives way to the search, which raises.
-    assert not _pfd_holds(table.tuples, [_fd_positions(table.schema, fds[1])], 2)
+    assert not _pfd_holds(table.tuples, _cover(table.schema, fds[1:]), 2)
     with pytest.raises(ValuationBudgetExceeded):
         check_seamless(table, fds[1:], 2)
 

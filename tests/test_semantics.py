@@ -176,6 +176,30 @@ class TestSeamless:
         # A trivial FD reads no lhs binding, and pfd holds: the least world answers.
         assert check_seamless(r, [fd("A", "A")], budget=2) == Table.standard(["A", "B"], [("a", "x")])
 
+    def test_trivial_fds_link_no_tuples(self):
+        # Six two-disjunct tuples share A = a.  A trivial FD holds in every
+        # world, so the search reads the set's cover, which leaves it out, and
+        # no tuple is searched: the least world answers at budget 2, the
+        # valuation floor.  A search that read every FD as given linked the
+        # tuples and took one step per tuple (least budget 6, on the second
+        # table also under A B -> A, whose binding (a, c) every tuple holds).
+        least = Table.standard(["A", "B"], [("a", f"b{i}") for i in range(6)])
+        for c in ("c{}", "c"):
+            r = Table.disjunctive(["A", "B"], [[("a", f"b{i}"), ("a", c.format(i))] for i in range(6)])
+            for f in (fd("A", ""), fd("A", "A"), fd("A B", "A")):
+                assert check_seamless(r, [f], budget=2) == least
+                with pytest.raises(ValuationBudgetExceeded):
+                    check_seamless(r, [f], budget=1)
+
+    def test_implied_fds_take_no_steps(self):
+        # A C -> B follows from A -> B, so the search reads A -> B alone and
+        # has its least budget, 37, whatever the FD order.
+        r = T.free_standing_retry_with_pairs(2)
+        for fds in ([T.AB], [T.AB, fd("A C", "B")], [fd("A C", "B"), T.AB]):
+            assert check_seamless(r, fds, budget=37) is None
+            with pytest.raises(ValuationBudgetExceeded):
+                check_seamless(r, fds, budget=36)
+
     def test_standard_tables_are_decided_without_a_search(self):
         # A standard table is its own only world, so no cap is reached there.
         r = T.STANDARD_LATE_VIOLATION
