@@ -32,6 +32,31 @@ def labels(out: str) -> str:
     return "|".join(v["fd"] for v in json.loads(out)["verdicts"])
 
 
+WIDE = ("--table", "tests/data/wide_rhs.vtab", "--fds", "tests/data/wide_rhs.fds")
+WIDE_EXITS = {"standard": 2, "strong": 1, "weak": 0, "seamless": 0, "pfd": 0, "vertical": 0, "rm": 0}
+
+
+@pytest.mark.parametrize("argv, want", [
+    *((["check", *WIDE, "--semantics", sem], want) for sem, want in WIDE_EXITS.items()),
+    (["valuate", *WIDE], 0),
+], ids=[*WIDE_EXITS, "valuate"])
+def test_wide_answer_sets(fdlab, argv, want):
+    # Two vague tuples share the binding A0 = k, and each has 8^7 rhs rows
+    # under it: pfd and vertical hold (exit 0) and strong fails (exit 1).
+    # Answers kept as rhs cells take O(width); built whole, they took
+    # seconds and about 560 MB per check. Vertical on a vague table is the
+    # pfd pass, so its cap bounds only lhs bindings and reported tuples,
+    # and it answers instead of exiting 2 on the budget. Every semantics
+    # must finish or fail cleanly on this widest input: pfd holds, so weak
+    # and seamless return the world of least valuations (exit 0) without
+    # listing the 8^7 valuations, rm compares one pair and holds, and
+    # standard exits 2 because the table is not standard.
+    # valuate tests its pfd precondition in one pass, then each tuple
+    # takes its least value per cell under the seed's value orders:
+    # a world, exit 0.
+    assert fdlab(*argv, timeout=10).returncode == want
+
+
 def test_exit_codes(fdlab):
     trap, chain = "tests/data/transitivity_trap.vtab", "tests/data/chain.fds"
     assert fdlab("check", "--table", trap, "--fds", chain, "--semantics", "weak").returncode == 0

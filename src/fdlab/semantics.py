@@ -227,13 +227,13 @@ def _cover(schema, fds: Iterable[FunctionalDependency]) -> list:
             if y - set().union(*(z for w, z in rhs.items() if w < x))]
 
 
-def _pfd_holds(tuples: tuple, cover: list, cap: int) -> bool:
-    """Whether every FD of a `_cover` holds as a pfd on vague or standard
-    `tuples`, where answers are products of cells: one pass per lhs, up to
-    the first binding two tuples answer differently.  False once a tuple has
-    more than `cap` bindings of a lhs."""
+def _pfd_holds(tuples: tuple, fds: list, cap: int) -> bool:
+    """Whether each FD of `fds`, as (X, Y) schema positions, holds as a pfd
+    on vague or standard `tuples`, where answers are products of cells: one
+    pass per FD, up to the first binding two tuples answer differently.
+    False once a tuple has more than `cap` bindings of a lhs."""
     try:
-        for x_pos, y_pos in cover:
+        for x_pos, y_pos in fds:
             bind, first = _binder(x_pos, y_pos, cap), {}
             if any(first.setdefault(k, a) != a for t in tuples for k, a in bind(t)):
                 return False
@@ -247,20 +247,20 @@ def _first_disagreement(tuples: tuple, pairs_of, reason: str) -> Optional[Violat
     map `key` to different values under `pairs_of(t)` (key, value) pairs.
 
     The least pair for a key starts at the key's first holder f: if i and j
-    disagree and f < i, f disagrees with one of them in an earlier pair.  So
-    one pass keeping each key's first holder and first later disagreement
-    suffices.  Linear in the number of pairs."""
-    first, found = {}, {}
+    disagree and f < i, f disagrees with one of them in an earlier pair, and
+    a key's later disagreements give larger pairs.  So one pass keeping each
+    key's first holder and the least pair so far suffices, linear in pairs."""
+    first, least = {}, None
     for j, t in enumerate(tuples):
         for key, value in pairs_of(t):
             seen = first.get(key)
             if seen is None:
                 first[key] = (j, value)
-            elif seen[1] != value and key not in found:
-                found[key] = seen[0], j
-    if not found:
+            elif seen[1] != value and (least is None or (seen[0], j, key) < least):
+                least = seen[0], j, key
+    if least is None:
         return None
-    i, j, key = min((i, j, key) for key, (i, j) in found.items())
+    i, j, key = least
     return Violation(reason, (tuples[i], tuples[j]), key)
 
 
@@ -584,23 +584,24 @@ def find_vertical_violation(
     rhs-minus-lhs rows that are the product of their columns; and per tuple,
     the MVD lhs ->> Z (each binding's rows are the product of their Z and
     rest projections).  A vague or standard tuple's rows are the product of
-    its cells, so there vertical is the pfd pass, and only a violation sorts
-    vague tuples into the disjunctive form's order (sorted valuations:
-    `Table`'s order unless vague) to report the first pair there.  Only
-    reported tuples are converted.  Cost: linear in total lhs bindings, and
-    in total valuations on disjunctive tables.  `valuation_cap` bounds the
-    lhs bindings per vague tuple, and the valuations of each reported vague
-    tuple; past it, ValuationBudgetExceeded is raised."""
+    its cells, so there vertical is pfd: `_pfd_holds` decides a vague table,
+    and only a violation sorts it into the disjunctive form's order (sorted
+    valuations: `Table`'s order unless vague) and binds it again to report
+    the first pair there.  Only reported tuples are converted.  Cost: linear
+    in total lhs bindings, and in total valuations on disjunctive tables.
+    `valuation_cap` bounds the lhs bindings per vague tuple and the valuations
+    of each reported one; past it, ValuationBudgetExceeded is raised."""
     x_pos, y_pos = _fd_positions(table.schema, fd)
-    bind = _binder(x_pos, y_pos, valuation_cap)
-    hit = _first_disagreement(table.tuples, bind, "answer-sets-differ")
-    if hit is not None and table.model is Model.VAGUE:
+    tuples, vague = table.tuples, table.model is Model.VAGUE
+    if vague:
+        if _pfd_holds(tuples, [(x_pos, y_pos)], valuation_cap):
+            return None
         by_valuations = functools.cmp_to_key(_valuation_order)  # after the least rows, which decide most pairs
-        tuples = sorted(table.tuples, key=lambda t: (tuple(map(min, t.cells)), by_valuations(t.cells)))
-        if tuples != list(table.tuples):
-            hit = _first_disagreement(tuples, bind, hit.reason)
-        _require_within(hit.tuples, valuation_cap)
+        tuples = sorted(tuples, key=lambda t: (tuple(map(min, t.cells)), by_valuations(t.cells)))
+    hit = _first_disagreement(tuples, _binder(x_pos, y_pos, valuation_cap), "answer-sets-differ")
     if hit is not None:
+        if vague:
+            _require_within(hit.tuples, valuation_cap)
         return Violation(hit.reason, tuple(map(to_disjunctive_tuple, hit.tuples)), hit.binding)
     if table.model is not Model.DISJUNCTIVE:
         return None

@@ -22,10 +22,12 @@ The cases, each run on both sides with that side's own parser and `Table`:
   vague and disjunctive tables: `select` answers and normalised names
   (errors included), `project_table` onto every attribute subset,
   `enumerate_worlds` order and the point where `limit` stops it, rm
-  witnesses and notes under both resemblance variants, and `check` reports
-  under every semantics; on vague tables, `seamless_valuation_rows` rows or
-  errors at valuation seeds 0-2, for the FDs that hold as pfds, every third
-  of them, and three FDs that mostly fail.
+  witnesses and notes under both resemblance variants, `check` reports
+  under every semantics, `find_vertical_violation` at caps 1 and 4 for each
+  of the last three FDs, and `check_seamless` of those three at budgets 1,
+  3, 6 and 20, where small budgets give out; on vague tables,
+  `seamless_valuation_rows` rows or errors at valuation seeds 0-2, for the
+  FDs that hold as pfds, every third of them, and three FDs that mostly fail.
 
 Exit status: 0 if no case differs, 1 otherwise.
 """
@@ -47,8 +49,10 @@ POOL = ("p", "q", "r", "s")
 # 8^6 of them) are listed and sorted, about 150 s a side, and its 8 attributes
 # give 65,280 FDs for the rm cases: with the table in, the sweep grew from
 # about 11 s and 99,389 cases to about 6 min and 235,114, measured before the
-# valuate cases were added (they bring it to 100,352 without the table).
-# tests/test_semantics.py:TestWideRhs and the CI checks cover it.
+# valuate cases were added (they bring it to 100,352 without the table, and
+# the small-cap vertical and seamless cases to 103,322, about 7 s for both
+# sides).  tests/test_semantics.py:TestWideRhs and
+# ci/test_console.py:test_wide_answer_sets cover it.
 TABLES = sorted(p for p in DATA.iterdir() if p.suffix in (".stab", ".vtab", ".dtab") and p.name != "wide_rhs.vtab")
 
 
@@ -74,9 +78,11 @@ def outcome(fn) -> str:
 
 
 def shown(result) -> str:
-    """A selection or a violation as text that does not depend on set order."""
+    """A selection, a violation or a world as text that does not depend on set order."""
     if hasattr(result, "answers"):
         return str((result.x_attrs, result.binding, result.onto, sorted(result.answers)))
+    if hasattr(result, "model"):
+        return "\n".join([",".join(result.schema.attributes), *(t.render() for t in result.tuples)])
     return result and result.render()
 
 
@@ -152,6 +158,10 @@ def library_cases(side, name, table):
             yield f"{name} rm {fd} {variant}", outcome(lambda: shown(s.find_rm_violation(table, fd, variant)))
     for sem in SEMANTICS:
         yield f"{name} check {sem}", outcome(lambda: s.check(table, fds[-3:], sem, valuation_cap=5000).to_text())
+    for f, cap in itertools.product(fds[-3:], (1, 4)):
+        yield f"{name} vertical {f} cap={cap}", outcome(lambda: shown(s.find_vertical_violation(table, f, cap)))
+    for budget in (1, 3, 6, 20):
+        yield f"{name} seamless budget={budget}", outcome(lambda: shown(s.check_seamless(table, fds[-3:], budget)))
     if table.model.value == "vague":
         held = [fd for fd in fds if s.check_pfd(table, fd)]
         for seed, (k, group) in itertools.product(range(3), enumerate((held, held[::3], fds[-3:]))):

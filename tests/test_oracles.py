@@ -588,6 +588,23 @@ def test_the_cover_does_not_read_a_skipped_lhs_past_the_cap():
         check_seamless(table, fds[1:], 2)
 
 
+def test_the_pfd_test_on_an_fds_own_positions_is_check_pfd():
+    # Vertical passes one FD's positions, not a cover: the sides may overlap,
+    # the rhs may be empty and the FD trivial.  Where check_pfd runs past
+    # the cap, the test answers False and leaves the error to its caller.
+    held = failed = over = 0
+    for table, fds in _cover_cases(random.Random(30), 600):
+        for f, cap in itertools.product(fds, (10**6, 2)):
+            got = _pfd_holds(table.tuples, [_fd_positions(table.schema, f)], cap)
+            try:
+                want = check_pfd(table, f, cap)
+            except ValuationBudgetExceeded:
+                want, over = False, over + 1
+            assert got == want, (table, f, cap)
+            held, failed = held + want, failed + (not want)
+    assert held > 2000 and failed > 1000 and over > 300
+
+
 def _lhs_between_cases(rng, count):
     """Vague tables over 3-5 attributes where the lhs attribute P lies
     between attributes it determines.  In three of four tables every other

@@ -341,6 +341,14 @@ class TestVertical:
         assert find_vertical_violation(r, T.AB).render() == "answer-sets-differ t1=((a,x)||(b,x)) t2=((a,y)) binding=(a)"
         assert find_pfd_violation(r, T.AB).render() == "answer-sets-differ t1=(a,y) t2=({a|b},x) binding=(a)"
 
+    def test_a_violated_vague_table_is_bound_once_in_the_disjunctive_order(self, monkeypatch):
+        # The pfd test stops at the first two tuples, which disagree under
+        # a; only then are all 52 tuples sorted and bound, once.
+        _, calls = counting_binder(monkeypatch)
+        r = Table.vague(["A", "B"], [[{"a", "b"}, "x"], ["a", "y"]] + [[f"k{i}", "z"] for i in range(50)])
+        assert find_vertical_violation(r, T.AB).render() == "answer-sets-differ t1=((a,x)||(b,x)) t2=((a,y)) binding=(a)"
+        assert len(calls) == 54
+
     def test_only_reported_tuples_are_converted(self, monkeypatch):
         converted = []
         real = semantics.to_disjunctive_tuple
