@@ -3,7 +3,7 @@ rhs answer sets.
 
 Each accepted tuple contributes, for every standard binding its lhs cells can
 take, the answer set of rhs rows it selects under that binding, in the
-binding kernel's one canonical form for every tuple model (a product as its
+binding pass's one canonical form for every tuple model (a product as its
 rhs cells), so answers compare in O(|Y|); row sets are built only for
 `entries()` and `Conflict`.  An insert is
 rejected the moment any binding disagrees with the stored answer set, and a
@@ -13,10 +13,10 @@ how many tuples support a binding; an entry disappears when its counter
 reaches zero.
 
 Cost: one pass over the tuple's lhs bindings per check, insert or remove,
-independent of the index size, by a kernel built in `__init__`; `insert(t)`
-right after `check(t)` of the same tuple object reuses that pass, unless a
-write came between: every write drops the kept pass.  A tuple with more than
-DEFAULT_VALUATION_CAP lhs bindings raises ValuationBudgetExceeded.
+independent of the index size, by the binding pass built in `__init__`;
+`insert(t)` right after `check(t)` of the same tuple object reuses that
+pass, unless a write came between: every write drops the kept pass.  A
+tuple with more than DEFAULT_VALUATION_CAP lhs bindings raises ValuationBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class PfdIndex:
     def _contributions(self, t) -> list:
         if t.schema.attributes != self.schema.attributes:
             raise SchemaError(f"tuple schema {t.schema.attributes} differs from index schema {self.schema.attributes}")
-        return list(self._bind(t))
+        return list(self._bind((t,)))
 
     def _scan(self, t) -> tuple:
         """The tuple's contributions and its first conflict with a stored
@@ -72,7 +72,7 @@ class PfdIndex:
         if last[0] is t:
             return last[1:]
         contributions, conflict = self._contributions(t), None
-        for b, answers in contributions:
+        for _, b, answers in contributions:
             stored = self._entries.get(b, (None,))[0]
             if stored is not None and stored != answers:
                 conflict = Conflict(b, _rows(stored), _rows(answers))
@@ -90,18 +90,18 @@ class PfdIndex:
         if conflict is not None:
             raise PfdRejected(conflict.binding, conflict.stored, conflict.offered)
         self._last = (None, None, None)
-        for b, answers in contributions:
+        for _, b, answers in contributions:
             self._entries.setdefault(b, [answers, 0])[1] += 1
 
     def remove(self, t) -> None:
         """Undo one prior insert of `t`; errors if `t` was never accepted."""
         contributions = self._contributions(t)
-        entries = [self._entries.get(b) for b, _ in contributions]
-        for (b, answers), entry in zip(contributions, entries):
+        entries = [self._entries.get(b) for _, b, _ in contributions]
+        for (_, b, answers), entry in zip(contributions, entries):
             if entry is None or entry[0] != answers:
                 raise IndexContractError(f"tuple was never inserted: no matching entry for binding {b}")
         self._last = (None, None, None)
-        for (b, _), entry in zip(contributions, entries):
+        for (_, b, _), entry in zip(contributions, entries):
             entry[1] -= 1
             if not entry[1]:
                 del self._entries[b]

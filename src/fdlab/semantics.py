@@ -19,8 +19,8 @@ each tuple's domain forward-checked through a `binding -> tuples` index and
 takes the smallest one from a lazy heap.
 Weak is seamless satisfaction of a one-FD set.  The standard, strong, pfd
 and vertical checks and `PfdIndex` share one core: `_binder`, built once
-per FD and pass, maps a tuple to its binding -> answer set pairs, and
-`_first_disagreement` makes one hash pass over them.  An answer set has one
+per FD and pass, walks the tuples as (index, binding, answer set) triples,
+and `_first_disagreement` makes one hash pass over them.  An answer set has one
 canonical form, equal iff the row sets are: a standard or vague tuple's is
 its rhs cells (or its one row), so it costs O(|Y|), never the product of
 its cells, and vertical on those tables is the pfd pass.  No checker
@@ -179,40 +179,54 @@ def _rows(answer) -> frozenset:
 
 
 def _binder(x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP):
-    """The kernel `t -> ((binding, t[X=binding][Y]), ...)` for one FD (X and
-    Y as schema positions): every lhs binding of `t`, in sorted order, with
-    its rhs answer set in one canonical form, so answers are equal iff their
-    row sets are (`_rows` lists them): a set's one row, else its column sets
-    when it is their product, as it is for any vague tuple, else its rows.
-    A vague tuple's answer is its rhs cells, a cell the lhs binds replaced
-    by {b[k]}: O(|Y|), once per tuple when X and Y do not overlap, and its
-    pairs come lazily.  Linear in the bindings; a vague tuple with more than
-    `cap` of them raises ValuationBudgetExceeded.  The projectors, the rhs
-    positions bound by the lhs and the branch per tuple type are resolved
-    here, once per FD and pass, not once per tuple."""
+    """The pass `tuples -> ((j, binding, t[X=binding][Y]), ...)` for one FD
+    (X and Y as schema positions): each tuple t = tuples[j] in turn, with
+    every lhs binding of t in sorted order and its rhs answer set in one
+    canonical form, so answers are equal iff their row sets are (`_rows`
+    lists them): a set's one row, else its column sets when it is their
+    product, as it is for any vague tuple, else its rows.  A vague tuple's
+    answer is its rhs cells, a cell the lhs binds replaced by {b[k]}: O(|Y|),
+    once per tuple when X and Y do not overlap, and then a one-attribute lhs
+    binds its cell's values with no product.  Lazy and linear in the
+    bindings; a vague tuple with more than `cap` of them raises
+    ValuationBudgetExceeded when the pass reaches it.  One frame walks the
+    whole pass, so a tuple costs no call; `_binder` runs once per FD and pass."""
     # Projectors to tuples: `_getter`, with a one-element slice for one position.
     xs, ys = (operator.itemgetter(slice(p[0], p[0] + 1)) if len(p) == 1 else _getter(p) for p in (x_pos, y_pos))
     at = [x_pos.index(p) if p in x_pos else None for p in y_pos] if set(x_pos) & set(y_pos) else None
+    one = x_pos[0] if len(x_pos) == 1 and at is None else None
 
-    def disjunctive(t):
-        groups = {}
-        for row in t.disjuncts:
-            groups.setdefault(xs(row), set()).add(ys(row))
-        return [(b, _answer(groups[b])) for b in sorted(groups)]
+    def bind(tuples):
+        for j, t in enumerate(tuples):
+            kind = type(t)
+            if kind is VagueTuple:
+                cells = t.cells
+                if one is not None:
+                    cell = cells[one]
+                    if len(cell) > cap:
+                        raise ValuationBudgetExceeded(cap)
+                    answer = _product(ys(cells))
+                    for v in cell if len(cell) == 1 else sorted(cell):
+                        yield j, (v,), answer
+                    continue
+                lhs = list(map(sorted, xs(cells)))
+                if math.prod(map(len, lhs)) > cap:
+                    raise ValuationBudgetExceeded(cap)
+                rhs = ys(cells)
+                answer = _product(rhs)  # every binding's when X and Y do not overlap
+                for b in itertools.product(*lhs):
+                    yield j, b, answer if at is None else _product(
+                        tuple(c if k is None else frozenset((b[k],)) for k, c in zip(at, rhs)))
+            elif kind is StandardTuple:
+                yield j, xs(t.values), ys(t.values)
+            else:
+                groups = {}
+                for row in t.disjuncts:
+                    groups.setdefault(xs(row), set()).add(ys(row))
+                for b in sorted(groups):
+                    yield j, b, _answer(groups[b])
 
-    def vague(t):
-        lhs = list(map(sorted, xs(t.cells)))
-        if math.prod(map(len, lhs)) > cap:
-            raise ValuationBudgetExceeded(cap)
-        rhs = ys(t.cells)
-        if at is None:  # the answer is the same for every binding
-            return zip(itertools.product(*lhs), itertools.repeat(_product(rhs)))
-        return ((b, _product(tuple(c if k is None else frozenset((b[k],)) for k, c in zip(at, rhs))))
-                for b in itertools.product(*lhs))
-
-    kernels = {StandardTuple: lambda t: ((xs(t.values), ys(t.values)),),
-               DisjunctiveTuple: disjunctive, VagueTuple: vague}
-    return lambda t: kernels[type(t)](t)
+    return bind
 
 
 def _cover(schema, fds: Iterable[FunctionalDependency]) -> list:
@@ -234,30 +248,30 @@ def _pfd_holds(tuples: tuple, fds: list, cap: int) -> bool:
     False once a tuple has more than `cap` bindings of a lhs."""
     try:
         for x_pos, y_pos in fds:
-            bind, first = _binder(x_pos, y_pos, cap), {}
-            if any(first.setdefault(k, a) != a for t in tuples for k, a in bind(t)):
+            first = {}
+            if any(first.setdefault(k, a) != a for _, k, a in _binder(x_pos, y_pos, cap)(tuples)):
                 return False
     except ValuationBudgetExceeded:  # the callers' own paths raise it, or name an FD that fails first
         return False
     return True
 
 
-def _first_disagreement(tuples: tuple, pairs_of, reason: str) -> Optional[Violation]:
+def _first_disagreement(tuples: tuple, pairs, reason: str) -> Optional[Violation]:
     """Violation for the least (i, j, key), i < j, such that tuples i and j
-    map `key` to different values under `pairs_of(t)` (key, value) pairs.
+    map `key` to different values in `pairs`, a `_binder` pass over `tuples`
+    as (j, key, value) triples, j ascending.
 
     The least pair for a key starts at the key's first holder f: if i and j
     disagree and f < i, f disagrees with one of them in an earlier pair, and
     a key's later disagreements give larger pairs.  So one pass keeping each
     key's first holder and the least pair so far suffices, linear in pairs."""
     first, least = {}, None
-    for j, t in enumerate(tuples):
-        for key, value in pairs_of(t):
-            seen = first.get(key)
-            if seen is None:
-                first[key] = (j, value)
-            elif seen[1] != value and (least is None or (seen[0], j, key) < least):
-                least = seen[0], j, key
+    for j, key, value in pairs:
+        seen = first.get(key)
+        if seen is None:
+            first[key] = (j, value)
+        elif seen[1] != value and (least is None or (seen[0], j, key) < least):
+            least = seen[0], j, key
     if least is None:
         return None
     i, j, key = least
@@ -303,7 +317,7 @@ def find_standard_violation(table: Table, fd: FunctionalDependency) -> Optional[
     if table.model is not Model.STANDARD:
         raise ModelError("standard satisfaction is defined over standard tables only")
     x_pos, y_pos = _fd_positions(table.schema, fd)
-    return _first_disagreement(table.tuples, _binder(x_pos, y_pos), "pair-disagrees")
+    return _first_disagreement(table.tuples, _binder(x_pos, y_pos)(table.tuples), "pair-disagrees")
 
 
 def check_standard(table: Table, fd: FunctionalDependency) -> bool:
@@ -331,13 +345,13 @@ def find_strong_violation(
     distinct tuples share an lhs binding and their answer sets are not one and
     the same single row.  A larger answer set is replaced by a stand-in equal
     to nothing else, which turns that test into `_first_disagreement`'s.  The
-    kernel's answer form tells one row, every cell a singleton, in O(1).
+    binding pass's answer form tells one row, every cell a singleton, in O(1).
     Linear in total lhs bindings; a tuple with more than `valuation_cap` lhs
     bindings raises ValuationBudgetExceeded."""
     x_pos, y_pos = _fd_positions(table.schema, fd)
-    bind = _binder(x_pos, y_pos, valuation_cap)
-    pairs_of = lambda t: ((b, answer if _one_row(answer) else object()) for b, answer in bind(t))
-    hit = _first_disagreement(table.tuples, pairs_of, "world-pair-disagrees")
+    pairs = _binder(x_pos, y_pos, valuation_cap)(table.tuples)
+    pairs = ((j, b, answer if _one_row(answer) else object()) for j, b, answer in pairs)
+    hit = _first_disagreement(table.tuples, pairs, "world-pair-disagrees")
     if hit is None:
         return None
     (t1, t2), b = hit.tuples, hit.binding
@@ -547,7 +561,7 @@ def find_pfd_violation(
     Linear in total lhs bindings; a tuple with more than `valuation_cap`
     lhs bindings raises ValuationBudgetExceeded."""
     x_pos, y_pos = _fd_positions(table.schema, fd)
-    return _first_disagreement(table.tuples, _binder(x_pos, y_pos, valuation_cap), "answer-sets-differ")
+    return _first_disagreement(table.tuples, _binder(x_pos, y_pos, valuation_cap)(table.tuples), "answer-sets-differ")
 
 
 def check_pfd(table: Table, fd: FunctionalDependency, valuation_cap: int = DEFAULT_VALUATION_CAP) -> bool:
@@ -598,7 +612,7 @@ def find_vertical_violation(
             return None
         by_valuations = functools.cmp_to_key(_valuation_order)  # after the least rows, which decide most pairs
         tuples = sorted(tuples, key=lambda t: (tuple(map(min, t.cells)), by_valuations(t.cells)))
-    hit = _first_disagreement(tuples, _binder(x_pos, y_pos, valuation_cap), "answer-sets-differ")
+    hit = _first_disagreement(tuples, _binder(x_pos, y_pos, valuation_cap)(tuples), "answer-sets-differ")
     if hit is not None:
         if vague:
             _require_within(hit.tuples, valuation_cap)
@@ -608,9 +622,9 @@ def find_vertical_violation(
     z_pos = table.schema.positions(fd.rhs - fd.lhs)
     zw_pos = z_pos + tuple(p for p in range(len(table.schema)) if p not in x_pos and p not in z_pos)
     nz = len(z_pos)
-    bind = _binder(x_pos, zw_pos)
-    for t in table.tuples:  # a product answer meets both conditions
-        groups = [(b, {row[:nz] for row in rows}, rows) for b, rows in bind(t) if type(rows) is frozenset]
+    for j, pairs in itertools.groupby(_binder(x_pos, zw_pos)(table.tuples), operator.itemgetter(0)):
+        t = table.tuples[j]  # a product answer meets both conditions
+        groups = [(b, {row[:nz] for row in rows}, rows) for _, b, rows in pairs if type(rows) is frozenset]
         for b, z, _ in groups:
             if type(_answer(z)) is frozenset:
                 return Violation("not-a-product", (t,), b)

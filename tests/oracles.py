@@ -61,7 +61,7 @@ def answer_set(t, x_attrs, binding, y_attrs) -> frozenset:
 
 
 def answer_rows(answer) -> frozenset:
-    """The rows a binding kernel's answer stands for: a frozenset is its rows,
+    """The rows a binding pass's answer stands for: a frozenset is its rows,
     a tuple of value sets their product, a tuple of values one row."""
     if isinstance(answer, frozenset):
         return answer
@@ -71,7 +71,7 @@ def answer_rows(answer) -> frozenset:
 
 
 def canonical_answer(rows) -> object:
-    """The one form the kernel must give a non-empty row set: its one row;
+    """The one form the binding pass must give a non-empty row set: its one row;
     the tuple of its column sets when it is their product; else the rows."""
     rows = frozenset(rows)
     if len(rows) == 1:

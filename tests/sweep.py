@@ -23,8 +23,10 @@ The cases, each run on both sides with that side's own parser and `Table`:
   (errors included), `project_table` onto every attribute subset,
   `enumerate_worlds` order and the point where `limit` stops it, rm
   witnesses and notes under both resemblance variants, `check` reports
-  under every semantics, `find_vertical_violation` at caps 1 and 4 for each
-  of the last three FDs, and `check_seamless` of those three at budgets 1,
+  under every semantics of the last three FDs (their lhs is the whole
+  schema) and of the FDs with a one-attribute lhs, `find_vertical_violation`
+  at caps 1 and 4 for each of those, weak at budgets 2, 4 and 8 for each
+  FD with a one-attribute lhs, and `check_seamless` of the last three at budgets 1,
   3, 6 and 20, where small budgets give out; on vague tables,
   `seamless_valuation_rows` rows or errors at valuation seeds 0-2, for the
   FDs that hold as pfds, every third of them, and three FDs that mostly fail.
@@ -49,9 +51,9 @@ POOL = ("p", "q", "r", "s")
 # 8^6 of them) are listed and sorted, about 150 s a side, and its 8 attributes
 # give 65,280 FDs for the rm cases: with the table in, the sweep grew from
 # about 11 s and 99,389 cases to about 6 min and 235,114, measured before the
-# valuate cases were added (they bring it to 100,352 without the table, and
-# the small-cap vertical and seamless cases to 103,322, about 7 s for both
-# sides).  tests/test_semantics.py:TestWideRhs and
+# valuate cases were added (they bring it to 100,352 without the table, the
+# small-cap vertical and seamless cases to 103,322, and the one-attribute lhs
+# cases to 140,319, about 15 s for both sides).  tests/test_semantics.py:TestWideRhs and
 # ci/test_console.py:test_wide_answer_sets cover it.
 TABLES = sorted(p for p in DATA.iterdir() if p.suffix in (".stab", ".vtab", ".dtab") and p.name != "wide_rhs.vtab")
 
@@ -156,10 +158,14 @@ def library_cases(side, name, table):
     if table.model.value != "disjunctive":
         for fd, variant in itertools.product(fds, ("max", "min")):
             yield f"{name} rm {fd} {variant}", outcome(lambda: shown(s.find_rm_violation(table, fd, variant)))
-    for sem in SEMANTICS:
-        yield f"{name} check {sem}", outcome(lambda: s.check(table, fds[-3:], sem, valuation_cap=5000).to_text())
-    for f, cap in itertools.product(fds[-3:], (1, 4)):
+    # The last three FDs' lhs is the whole schema, where few witnesses show.
+    ones = [f for f in fds if len(f.lhs) == 1]
+    for sem, group in itertools.product(SEMANTICS, (fds[-3:], ones)):
+        yield f"{name} check {sem} {group[0]}", outcome(lambda: s.check(table, group, sem, valuation_cap=5000).to_text())
+    for f, cap in itertools.product(fds[-3:] + ones, (1, 4)):
         yield f"{name} vertical {f} cap={cap}", outcome(lambda: shown(s.find_vertical_violation(table, f, cap)))
+    for f, budget in itertools.product(ones, (2, 4, 8)):
+        yield f"{name} weak {f} budget={budget}", outcome(lambda: s.check(table, f, "weak", budget).to_text())
     for budget in (1, 3, 6, 20):
         yield f"{name} seamless budget={budget}", outcome(lambda: shown(s.check_seamless(table, fds[-3:], budget)))
     if table.model.value == "vague":

@@ -687,19 +687,24 @@ def test_valuation_flood_returns_the_per_attribute_floods_rows():
 
 
 def test_contributions_follow_the_definition():
-    # The kernel answers in product form; expanded, its answers are the
+    # The pass answers in product form; expanded, its answers are the
     # definition's row sets, and each comes in the one form for its set.
+    # Beside the random cases, a one-attribute lhs over a singleton cell and
+    # over a 3-value cell, whose bindings come sorted whatever the hash order,
+    # one inside Y, which takes the general path, and an empty lhs.
+    edges = Table.vague(["A", "B", "C"], [["a", {"x", "y"}, "c"], [{"r", "p", "q"}, "x", {"c", "d"}]])
+    extra = [(edges, T.fd("A", "B C")), (edges, T.fd("A", "A B")), (edges, T.fd("", "B C"))]
     products = 0
-    for table, f in random_cases(12):
+    for table, f in itertools.chain(random_cases(12), extra):
         x_attrs = tuple(table.schema.restrict(f.lhs).attributes)
         y_attrs = tuple(table.schema.restrict(f.rhs).attributes)
         x_pos, y_pos = _fd_positions(table.schema, f)
-        for t in table.tuples:
-            want = [(b, O.answer_set(t, x_attrs, b, y_attrs)) for b in sorted(O.bindings(t, x_attrs))]
-            got = list(_binder(x_pos, y_pos)(t))
-            assert [(b, O.answer_rows(answer)) for b, answer in got] == want
-            assert [answer for _, answer in got] == [O.canonical_answer(rows) for _, rows in want]
-            products += sum(len(rows) > 1 and type(answer) is tuple for (_, answer), (_, rows) in zip(got, want))
+        want = [(j, b, O.answer_set(t, x_attrs, b, y_attrs))
+                for j, t in enumerate(table.tuples) for b in sorted(O.bindings(t, x_attrs))]
+        got = list(_binder(x_pos, y_pos)(table.tuples))
+        assert [(j, b, O.answer_rows(answer)) for j, b, answer in got] == want
+        assert [answer for *_, answer in got] == [O.canonical_answer(rows) for *_, rows in want]
+        products += sum(len(rows) > 1 and type(answer) is tuple for (*_, answer), (*_, rows) in zip(got, want))
     assert products > 100
 
 
@@ -730,6 +735,15 @@ def test_lhs_binding_product_over_the_cap_raises():
     with pytest.raises(ValuationBudgetExceeded):
         find_pfd_violation(table, FunctionalDependency(attrs[:2], {"B"}), valuation_cap=63)
     assert find_pfd_violation(table, FunctionalDependency(attrs[:2], {"B"}), valuation_cap=64)
+    # A one-attribute lhs: a cell of `cap` values passes, and one of cap + 1
+    # raises when the pass reaches its tuple, after the earlier tuples' pairs.
+    table = Table.vague(["A", "B"], [["a", "x"], [{"a", "b", "c"}, "x"], [{"a", "b", "c", "d"}, "x"]])
+    pairs = _binder((0,), (1,), 3)(table.tuples)
+    assert [(j, b) for j, b, _ in itertools.islice(pairs, 4)] == [(0, ("a",)), (1, ("a",)), (1, ("b",)), (1, ("c",))]
+    with pytest.raises(ValuationBudgetExceeded):
+        next(pairs)
+    assert not _pfd_holds(table.tuples, [((0,), (1,))], 3)
+    assert _pfd_holds(table.tuples, [((0,), (1,))], 4)
 
 
 def _fd_sets(rng, count):

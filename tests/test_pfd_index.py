@@ -148,10 +148,10 @@ class TestCheck:
 
 
 def count_scans(idx):
-    """Record every tuple the index runs its binding kernel on."""
+    """Record every tuple the index runs its binding pass on."""
     scanned = []
     bind = idx._bind
-    idx._bind = lambda t: scanned.append(t) or bind(t)
+    idx._bind = lambda tuples: bind(scanned.append(t) or t for t in tuples)
     return scanned
 
 

@@ -51,14 +51,14 @@ from gen import (
 
 
 def counting_binder(monkeypatch):
-    """Record each `_binder` construction and each tuple its kernels bind."""
+    """Record each `_binder` construction and each tuple its passes reach."""
     built, calls = [], []
     real = semantics._binder
 
     def binder(*args):
         built.append(args)
-        kernel = real(*args)
-        return lambda t: calls.append(t) or kernel(t)
+        bind = real(*args)
+        return lambda tuples: bind(calls.append(t) or t for t in tuples)
 
     monkeypatch.setattr(semantics, "_binder", binder)
     return built, calls
@@ -362,7 +362,7 @@ class TestVertical:
 
     def test_per_tuple_pass_runs_on_disjunctive_tables_only(self, monkeypatch):
         # A vague tuple's rows under a binding are the product of its cells,
-        # so only the agreement pass runs its binding kernel, once per tuple.
+        # so only the agreement pass runs, and it reaches each tuple once.
         _, calls = counting_binder(monkeypatch)
         table, fds = grouped_vague_table(random.Random(2), 200)
         for f in fds:
@@ -587,7 +587,7 @@ class TestDispatcher:
             assert len(set(verdicts.values())) == 1
 
     def test_each_check_builds_one_kernel_per_fd_and_pass(self, monkeypatch):
-        # A kernel built per tuple would multiply `built` by the tuple count.
+        # A pass built per tuple would multiply `built` by the tuple count.
         built, calls = counting_binder(monkeypatch)
         table, fds = grouped_vague_table(random.Random(2), 200)
         world = check_seamless(table, fds)
