@@ -329,6 +329,14 @@ def to_disjunctive_tuple(t: AnyTuple) -> DisjunctiveTuple:
     return DisjunctiveTuple(t.schema, frozenset(t.valuations()), checked=True)
 
 
+def _require_within(tuples: Iterable, cap: int) -> None:
+    """Raise ValuationBudgetExceeded if a tuple has more than `cap` valuations."""
+    if any(t.valuation_count() > cap for t in tuples):
+        raise ValuationBudgetExceeded(cap)
+
+
 def to_disjunctive(table: Table) -> Table:
-    """Equivalent disjunctive table (same set of possible worlds)."""
+    """Equivalent disjunctive table (same set of possible worlds); more than
+    DEFAULT_VALUATION_CAP valuations of a tuple raise before any is listed."""
+    _require_within(table.tuples, DEFAULT_VALUATION_CAP)
     return Table(table.schema, Model.DISJUNCTIVE, (to_disjunctive_tuple(t) for t in table.tuples))

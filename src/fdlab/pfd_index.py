@@ -5,7 +5,7 @@ Each accepted tuple contributes, for every standard binding its lhs cells can
 take, the answer set of rhs rows it selects under that binding, in the
 binding pass's one canonical form for every tuple model (a product as its
 rhs cells), so answers compare in O(|Y|); row sets are built only for
-`entries()` and `Conflict`.  An insert is
+`entries()` and `Conflict`, by `semantics._rows`.  An insert is
 rejected the moment any binding disagrees with the stored answer set, and a
 rejected insert leaves the index untouched (all bindings are scanned before
 any mutation), so updates can be done as remove-then-insert.  Counters track
@@ -15,8 +15,9 @@ reaches zero.
 Cost: one pass over the tuple's lhs bindings per check, insert or remove,
 independent of the index size, by the binding pass built in `__init__`;
 `insert(t)` right after `check(t)` of the same tuple object reuses that
-pass, unless a write came between: every write drops the kept pass.  A
-tuple with more than DEFAULT_VALUATION_CAP lhs bindings raises ValuationBudgetExceeded.
+pass, unless a write came between: every write drops the kept pass.  More
+than DEFAULT_VALUATION_CAP lhs bindings of a tuple or rows of a listed answer
+raise ValuationBudgetExceeded, and leave the index unchanged.
 """
 
 from __future__ import annotations

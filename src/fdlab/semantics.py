@@ -18,12 +18,12 @@ NP-complete, so it carries a search budget; its backtracking search keeps
 each tuple's domain forward-checked through a `binding -> tuples` index and
 takes the smallest one from a lazy heap.
 Weak is seamless satisfaction of a one-FD set.  The standard, strong, pfd
-and vertical checks and `PfdIndex` share one core: `_binder`, built once
-per FD and pass, walks the tuples as (index, binding, answer set) triples,
-and `_first_disagreement` makes one hash pass over them.  An answer set has one
-canonical form, equal iff the row sets are: a standard or vague tuple's is
-its rhs cells (or its one row), so it costs O(|Y|), never the product of
-its cells, and vertical on those tables is the pfd pass.  No checker
+and vertical checks, `select` and `PfdIndex` share one core: `_binder`,
+built once per FD and pass, walks the tuples as (index, binding, answer set)
+triples, and `_first_disagreement` makes one hash pass over them.  Answers
+have one canonical form, equal iff the row sets are (`_rows` lists them): a
+standard or vague tuple's is its rhs cells (or its one row), O(|Y|), and
+vertical on those tables is the pfd pass.  No checker
 enumerates possible worlds.  rm scores only the pairs that share a value on
 its most selective lhs attribute, found in a `value -> tuples` index, and
 counts the pairs it compares against a cap.
@@ -49,6 +49,7 @@ from .model import (
     StandardTuple,
     Table,
     VagueTuple,
+    _require_within,
     _world,
     to_disjunctive_tuple,
 )
@@ -93,19 +94,16 @@ def _cells(t) -> tuple:
 
 
 def _rows_under(t, x_pos: tuple, binding: tuple, y_pos: tuple):
-    """The valuation rows of `t` with X = binding, in value order (X and Y as
-    schema positions): a disjunctive tuple's sorted disjuncts that carry the
-    binding; for a standard or vague tuple, the product of the bound value at
-    X, the sorted cell at Y and the least value everywhere else.  Empty when
-    a bound value is not in its cell."""
+    """The valuation rows of `t` with X = binding, which `t` holds, in value
+    order (X and Y as schema positions), for strong's witness: a disjunctive
+    tuple's sorted disjuncts that carry the binding; for a standard or vague
+    tuple, the product of the bound value at X, the sorted cell at Y and the
+    least value everywhere else."""
     if isinstance(t, DisjunctiveTuple):
         return [row for row in sorted(t.disjuncts) if tuple(row[i] for i in x_pos) == binding]
-    cells = _cells(t)
     bound = dict(zip(x_pos, binding))
-    if any(v not in cells[p] for p, v in bound.items()):
-        return ()
     return itertools.product(*(
-        (bound[p],) if p in bound else sorted(c) if p in y_pos else (min(c),) for p, c in enumerate(cells)
+        (bound[p],) if p in bound else sorted(c) if p in y_pos else (min(c),) for p, c in enumerate(_cells(t))
     ))
 
 
@@ -120,23 +118,19 @@ class SelectionResult:
 
 
 def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[str]] = None) -> SelectionResult:
-    """t[X=binding], projected on `onto` (defaults to the full schema): the
-    onto projection of `_rows_under`, so a vague tuple's cells outside X and
-    onto contribute one value each.  The binding gives one value per
-    attribute of X, in schema order; any other length raises SchemaError.
-    More than DEFAULT_VALUATION_CAP rows of a vague tuple raise ValuationBudgetExceeded."""
+    """t[X=binding] projected on `onto` (default: the schema): `_rows` of the
+    answer `_binder` gives t for the binding, met by walking t's bindings,
+    O(bindings of t), or empty if t does not hold it; over DEFAULT_VALUATION_CAP
+    bindings of t or rows raise ValuationBudgetExceeded.  The binding has one
+    value per attribute of X, in schema order; other lengths raise SchemaError."""
     y_pos = tuple(range(len(t.schema))) if onto is None else t.schema.positions(onto)
     x_pos = t.schema.positions(x_attrs)
     x_norm = tuple(t.schema.attributes[i] for i in x_pos)
     binding = tuple(binding)
     if len(binding) != len(x_norm):
         raise SchemaError(f"binding {binding} has {len(binding)} values for the {len(x_norm)} attributes {x_norm}")
-    rows = _rows_under(t, x_pos, binding, y_pos)  # () when a bound value is outside its cell
-    if isinstance(t, VagueTuple) and rows != () and math.prod(
-            len(t.cells[p]) for p in y_pos if p not in x_pos) > DEFAULT_VALUATION_CAP:
-        raise ValuationBudgetExceeded(DEFAULT_VALUATION_CAP)
-    answers = frozenset(tuple(row[i] for i in y_pos) for row in rows)
-    return SelectionResult(x_norm, binding, tuple(t.schema.attributes[i] for i in y_pos), answers)
+    answer = next((a for _, b, a in _binder(x_pos, y_pos)((t,)) if b == binding), frozenset())
+    return SelectionResult(x_norm, binding, tuple(t.schema.attributes[i] for i in y_pos), _rows(answer))
 
 
 def _getter(pos: tuple):
@@ -172,10 +166,15 @@ def _one_row(answer) -> bool:
 
 
 def _rows(answer) -> frozenset:
-    """The set of rows a canonical answer stands for."""
+    """The set of rows a canonical answer stands for; a product of more than
+    DEFAULT_VALUATION_CAP rows raises ValuationBudgetExceeded unbuilt."""
     if type(answer) is frozenset:
         return answer
-    return frozenset((answer,)) if _one_row(answer) else frozenset(itertools.product(*answer))
+    if _one_row(answer):
+        return frozenset((answer,))
+    if math.prod(map(len, answer)) > DEFAULT_VALUATION_CAP:
+        raise ValuationBudgetExceeded(DEFAULT_VALUATION_CAP)
+    return frozenset(itertools.product(*answer))
 
 
 def _binder(x_pos: tuple, y_pos: tuple, cap: int = DEFAULT_VALUATION_CAP):
@@ -244,15 +243,12 @@ def _cover(schema, fds: Iterable[FunctionalDependency]) -> list:
 def _pfd_holds(tuples: tuple, fds: list, cap: int) -> bool:
     """Whether each FD of `fds`, as (X, Y) schema positions, holds as a pfd
     on vague or standard `tuples`, where answers are products of cells: one
-    pass per FD, up to the first binding two tuples answer differently.
-    False once a tuple has more than `cap` bindings of a lhs."""
-    try:
-        for x_pos, y_pos in fds:
-            first = {}
-            if any(first.setdefault(k, a) != a for _, k, a in _binder(x_pos, y_pos, cap)(tuples)):
-                return False
-    except ValuationBudgetExceeded:  # the callers' own paths raise it, or name an FD that fails first
-        return False
+    pass per FD, up to the first binding two tuples answer differently.  A
+    tuple met first with more than `cap` bindings of a lhs raises ValuationBudgetExceeded."""
+    for x_pos, y_pos in fds:
+        first = {}
+        if any(first.setdefault(k, a) != a for _, k, a in _binder(x_pos, y_pos, cap)(tuples)):
+            return False
     return True
 
 
@@ -323,13 +319,6 @@ def find_standard_violation(table: Table, fd: FunctionalDependency) -> Optional[
 def check_standard(table: Table, fd: FunctionalDependency) -> bool:
     """Classical satisfaction: equal on X implies equal on Y.  Linear in tuples."""
     return find_standard_violation(table, fd) is None
-
-
-def _require_within(tuples: Iterable, cap: int) -> None:
-    """Raise ValuationBudgetExceeded if a tuple has more than `cap` valuations."""
-    for t in tuples:
-        if t.valuation_count() > cap:
-            raise ValuationBudgetExceeded(cap)
 
 
 def find_strong_violation(

@@ -37,8 +37,9 @@ def seamless_valuation_rows(
 ) -> list:
     """One chosen standard row per table tuple, aligned with table order.
 
-    Requires every FD to hold in the pfd sense (`_pfd_holds`); raises
-    PfdPreconditionError naming the first one that does not.
+    Requires every FD to hold in the pfd sense: `_pfd_holds` on the cover,
+    which may raise ValuationBudgetExceeded, then, if it fails, each FD in
+    order, to raise PfdPreconditionError naming the first that does not.
     """
     if table.model is Model.DISJUNCTIVE:
         raise ModelError("the valuation algorithm is defined for vague tables")

@@ -27,9 +27,14 @@ The cases, each run on both sides with that side's own parser and `Table`:
   schema) and of the FDs with a one-attribute lhs, `find_vertical_violation`
   at caps 1 and 4 for each of those, weak at budgets 2, 4 and 8 for each
   FD with a one-attribute lhs, and `check_seamless` of the last three at budgets 1,
-  3, 6 and 20, where small budgets give out; on vague tables,
+  3, 6 and 20, where small budgets give out; a `PfdIndex` per FD with a
+  one-attribute lhs, fed the table's tuples in a seeded order: each `check`
+  and `insert` (rejections rendered), a seeded accepted tuple removed twice,
+  and the sorted `entries()`; on vague tables,
   `seamless_valuation_rows` rows or errors at valuation seeds 0-2, for the
   FDs that hold as pfds, every third of them, and three FDs that mostly fail.
+
+207,869 cases, about 13 s for both sides on a 2-vCPU host.
 
 Exit status: 0 if no case differs, 1 otherwise.
 """
@@ -52,8 +57,8 @@ POOL = ("p", "q", "r", "s")
 # give 65,280 FDs for the rm cases: with the table in, the sweep grew from
 # about 11 s and 99,389 cases to about 6 min and 235,114, measured before the
 # valuate cases were added (they bring it to 100,352 without the table, the
-# small-cap vertical and seamless cases to 103,322, and the one-attribute lhs
-# cases to 140,319, about 15 s for both sides).  tests/test_semantics.py:TestWideRhs and
+# small-cap vertical and seamless cases to 103,322, the one-attribute lhs
+# cases to 140,319 and the `PfdIndex` cases to 207,869).  tests/test_semantics.py:TestWideRhs and
 # ci/test_console.py:test_wide_answer_sets cover it.
 TABLES = sorted(p for p in DATA.iterdir() if p.suffix in (".stab", ".vtab", ".dtab") and p.name != "wide_rhs.vtab")
 
@@ -168,11 +173,35 @@ def library_cases(side, name, table):
         yield f"{name} weak {f} budget={budget}", outcome(lambda: s.check(table, f, "weak", budget).to_text())
     for budget in (1, 3, 6, 20):
         yield f"{name} seamless budget={budget}", outcome(lambda: shown(s.check_seamless(table, fds[-3:], budget)))
+    for f in ones:
+        yield from index_cases(side, f"{name} index {f}", table, f)
     if table.model.value == "vague":
         held = [fd for fd in fds if s.check_pfd(table, fd)]
         for seed, (k, group) in itertools.product(range(3), enumerate((held, held[::3], fds[-3:]))):
             rows = lambda: side.valuation.seamless_valuation_rows(table, group, seed)
             yield f"{name} valuate seed={seed} set={k}", outcome(rows)
+
+
+def index_cases(side, name, table, fd):
+    """A `PfdIndex` fed the table's tuples in an order seeded by `name`:
+    each tuple checked, then inserted, a rejection rendered; then a seeded
+    accepted tuple removed twice, and the entries, sorted."""
+    rng = random.Random(name)
+    idx, accepted = side.PfdIndex(fd, table.schema), []
+
+    def insert(t):
+        idx.insert(t)
+        accepted.append(t)
+
+    for k, t in enumerate(rng.sample(table.tuples, len(table.tuples))):
+        conflict = lambda: (c := idx.check(t)) and (c.binding, sorted(c.stored), sorted(c.offered))
+        yield f"{name} check {k}", outcome(conflict)
+        yield f"{name} insert {k}", outcome(lambda: insert(t))
+    if accepted:
+        t = rng.choice(accepted)
+        for k in range(2):
+            yield f"{name} remove {k}", outcome(lambda: idx.remove(t))
+    yield f"{name} entries", outcome(lambda: sorted((b, sorted(rows), n) for b, (rows, n) in idx.entries().items()))
 
 
 def side_tables(side):

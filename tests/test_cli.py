@@ -365,6 +365,22 @@ class TestCliValuate:
         assert run_cli("valuate", "--table", str(src), "--fds", str(fds)) == 1
         assert "A -> B" in capsys.readouterr().err
 
+    def test_budget_met_in_the_cover_pass_exits_two(self, tmp_path, capsys):
+        # A B -> C fails first in FD order, but the cover reads A -> C for it,
+        # after E0 ... E6 -> D, whose 8^7 bindings in the first tuple are past
+        # the cap: the precondition raises there, before it names a failing FD.
+        wide = "{" + "|".join(f"e{i}" for i in range(8)) + "}"
+        src = tmp_path / "t.vtab"
+        src.write_text("#model: vague\nA,B,C,D,E0,E1,E2,E3,E4,E5,E6\n"
+                       f"a,b,c1,d{f',{wide}' * 7}\na,b,c2,d{',e' * 7}\n")
+        fds = tmp_path / "t.fds"
+        fds.write_text("A B -> C\nE0 E1 E2 E3 E4 E5 E6 -> D\nA -> C\n")
+        assert run_cli("valuate", "--table", str(src), "--fds", str(fds)) == 2
+        assert capsys.readouterr().err == "fdlab: valuation budget of 1000000 exhausted before an exact answer\n"
+        fds.write_text("A B -> C\nA -> C\n")
+        assert run_cli("valuate", "--table", str(src), "--fds", str(fds)) == 1
+        assert capsys.readouterr().err == "fdlab: dependency not satisfied: A B -> C\n"
+
     def test_value_that_would_print_as_a_comment_exits_two(self, tmp_path, capsys):
         # Picking '#a' would print the row '#a,c', which reads back as a comment.
         src = tmp_path / "t.vtab"

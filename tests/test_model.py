@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from fdlab import (
     to_disjunctive_tuple,
 )
 
+from fdlab import model
 from fdlab.model import _world
 
 from gen import rand_disjunctive_table, rand_standard_table, rand_vague_table
@@ -296,6 +298,22 @@ def test_prop_vague_equality_is_attribute_wise(table):
                 project_tuple(t1, {a}) == project_tuple(t2, {a}) for a in table.schema
             )
             assert (t1 == t2) == attr_wise
+
+
+def test_conversion_counts_each_tuples_valuations_before_listing_them(monkeypatch):
+    # wide_rhs.vtab's tuples have 8^7 valuations each, over the default cap.
+    wide = Table.vague([f"A{i}" for i in range(8)], [["k", *[{f"v{i}" for i in range(8)}] * 7]])
+    start = time.perf_counter()
+    with pytest.raises(ValuationBudgetExceeded):
+        to_disjunctive(wide)
+    assert time.perf_counter() - start < 1
+    # The cap is the model's default: at 4, a tuple of 4 valuations is listed and one of 6 raises.
+    monkeypatch.setattr(model, "DEFAULT_VALUATION_CAP", 4)
+    table = Table.vague(["A", "B"], [[{"a", "b"}, {"c", "d"}], ["e", "f"]])
+    assert to_disjunctive(table) == Table.disjunctive(["A", "B"], [
+        [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")], [("e", "f")]])
+    with pytest.raises(ValuationBudgetExceeded, match="budget of 4 "):
+        to_disjunctive(Table.vague(["A", "B"], [[{"a", "b"}, {"c", "d", "e"}]]))
 
 
 @given(vague_tables())

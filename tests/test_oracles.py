@@ -7,6 +7,7 @@ pass loop's closures and the restart-from-the-top derivations."""
 
 import collections
 import itertools
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -582,8 +583,9 @@ def test_the_cover_does_not_read_a_skipped_lhs_past_the_cap():
         check_pfd(table, fds[1], 2)
     assert _pfd_holds(table.tuples, _cover(table.schema, fds), 2)
     assert check_seamless(table, fds, 2) == Table.standard(["A", "B", "C"], [("a", "b0", "c"), ("a2", "b0", "c")])
-    # Read, the same lhs is past the cap: the pfd test gives way to the search, which raises.
-    assert not _pfd_holds(table.tuples, _cover(table.schema, fds[1:]), 2)
+    # Read, the same lhs is past the cap: the pfd test raises, and so does the search.
+    with pytest.raises(ValuationBudgetExceeded):
+        _pfd_holds(table.tuples, _cover(table.schema, fds[1:]), 2)
     with pytest.raises(ValuationBudgetExceeded):
         check_seamless(table, fds[1:], 2)
 
@@ -591,18 +593,28 @@ def test_the_cover_does_not_read_a_skipped_lhs_past_the_cap():
 def test_the_pfd_test_on_an_fds_own_positions_is_check_pfd():
     # Vertical passes one FD's positions, not a cover: the sides may overlap,
     # the rhs may be empty and the FD trivial.  Where check_pfd runs past
-    # the cap, the test answers False and leaves the error to its caller.
-    held = failed = over = 0
+    # the cap, the test raises too, unless it stops first at a disagreement
+    # among the tuples before the first one past the cap.
+    held = failed = over = before = 0
     for table, fds in _cover_cases(random.Random(30), 600):
         for f, cap in itertools.product(fds, (10**6, 2)):
-            got = _pfd_holds(table.tuples, [_fd_positions(table.schema, f)], cap)
+            x_pos, y_pos = _fd_positions(table.schema, f)
+            pfd_holds = lambda: _pfd_holds(table.tuples, [(x_pos, y_pos)], cap)
             try:
                 want = check_pfd(table, f, cap)
             except ValuationBudgetExceeded:
-                want, over = False, over + 1
-            assert got == want, (table, f, cap)
+                k = next(k for k, t in enumerate(table.tuples) if math.prod(len(t.cells[p]) for p in x_pos) > cap)
+                if check_pfd(Table(table.schema, table.model, table.tuples[:k]), f, cap):
+                    with pytest.raises(ValuationBudgetExceeded):
+                        pfd_holds()
+                    over += 1
+                else:
+                    assert not pfd_holds(), (table, f, cap)
+                    before += 1
+                continue
+            assert pfd_holds() == want, (table, f, cap)
             held, failed = held + want, failed + (not want)
-    assert held > 2000 and failed > 1000 and over > 300
+    assert held > 2000 and failed > 800 and over > 300 and before > 10
 
 
 def _lhs_between_cases(rng, count):
@@ -742,7 +754,8 @@ def test_lhs_binding_product_over_the_cap_raises():
     assert [(j, b) for j, b, _ in itertools.islice(pairs, 4)] == [(0, ("a",)), (1, ("a",)), (1, ("b",)), (1, ("c",))]
     with pytest.raises(ValuationBudgetExceeded):
         next(pairs)
-    assert not _pfd_holds(table.tuples, [((0,), (1,))], 3)
+    with pytest.raises(ValuationBudgetExceeded):
+        _pfd_holds(table.tuples, [((0,), (1,))], 3)
     assert _pfd_holds(table.tuples, [((0,), (1,))], 4)
 
 

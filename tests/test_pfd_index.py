@@ -3,6 +3,8 @@
 import collections
 import itertools
 import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,10 @@ from fdlab import (
     StandardTuple,
     Table,
     VagueTuple,
+    ValuationBudgetExceeded,
     check_pfd,
+    parse_fds,
+    parse_table,
 )
 
 import oracles as O
@@ -27,6 +32,7 @@ from insert_bench import bench_inserts
 from tables import fd
 from gen import rand_cell
 
+DATA = Path(__file__).parent / "data"
 ES = Schema(("employee", "superior"))
 ES_FD = fd("employee", "superior")
 
@@ -145,6 +151,23 @@ class TestCheck:
     def test_empty_index_accepts_anything(self):
         idx = PfdIndex(ES_FD, ES)
         assert idx.check(vtuple({"a", "b"}, {"c", "d"})) is None
+
+
+def test_answers_past_the_cap_raise_before_any_row_is_built():
+    # wide_rhs.vtab's first tuple answers A0 = k with 8^7 rows, and the
+    # offered tuple with 7^7 others: a conflict, or the snapshot, past the
+    # cap raises at once, and the rejected insert changes nothing.
+    table = parse_table((DATA / "wide_rhs.vtab").read_text())
+    f = parse_fds((DATA / "wide_rhs.fds").read_text())[0]
+    idx = PfdIndex(f, table.schema)
+    idx.insert(table.tuples[0])
+    offered = VagueTuple(table.schema, ["k", *[{f"v{i}" for i in range(7)}] * 7])
+    for call in (lambda: idx.check(offered), lambda: idx.insert(offered), idx.entries):
+        start = time.perf_counter()
+        with pytest.raises(ValuationBudgetExceeded):
+            call()
+        assert time.perf_counter() - start < 1
+    assert idx == PfdIndex.rebuild(f, table.schema, table.tuples[:1])
 
 
 def count_scans(idx):

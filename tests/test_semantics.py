@@ -453,6 +453,19 @@ class TestWideRhs:
         assert select(t, ["A0"], ("z",)).answers == frozenset()
         assert len(select(T.wide_rhs(6)[0].tuples[0], ["A0"], ("k",)).answers) == 8 ** 6
 
+    def test_select_past_the_lhs_cap_raises_whatever_the_binding(self):
+        # A1 ... A7 take 8^7 bindings, over the default cap: the binding pass
+        # raises before any, so a binding the tuple holds and one it does not
+        # raise alike, though neither answer has more than two rows.
+        t = T.wide_rhs(7)[0].tuples[0]
+        lhs = [f"A{i}" for i in range(1, 8)]
+        start = time.perf_counter()
+        for b in (("v0",) * 7, ("z",) * 7):
+            with pytest.raises(ValuationBudgetExceeded):
+                select(t, lhs, b, onto=["A0"])
+        assert time.perf_counter() - start < 0.05
+        assert select(t, lhs[1:], ("v0",) * 6, onto=["A0"]).answers == frozenset({("j",), ("k",)})
+
     def test_data_file_is_the_widest_case(self):
         data = Path(__file__).parent / "data"
         table, f = T.wide_rhs(7)
