@@ -9,11 +9,11 @@ The three inference rules are the classical ones:
 `attribute_closure`, `implies` and `derive` run LinClosure (Beeri & Bernstein
 1979): each FD counts its lhs attributes outside the closure, ready at 0.  The
 fixpoint does not depend on firing order, so `attribute_closure` and `implies`
-fire ready FDs in any order, in O(total FD size).  `derive` cites them in a
+fire ready FDs in any order, in O(total FD size).  `derive` fires them in a
 fixed order (of the ready FDs whose rhs is uncovered, the least by sorted lhs,
-then sorted rhs) and emits proofs in a fixed phase order (base citations, one
-reflexivity step, augmentations, transitivities) so golden tests stay stable;
-`check_derivation` replays them in place, in membership tests linear in size.
+then sorted rhs), cites only the goal's support, carries only live attributes
+and emits proofs in a fixed phase order (base citations, one reflexivity step,
+augmentations, transitivities); `check_derivation` replays them in place.
 """
 
 from __future__ import annotations
@@ -83,71 +83,79 @@ class Derivation:
 
 
 def _firings(fds: Iterable[FunctionalDependency], target: FunctionalDependency) -> Optional[list]:
-    """The FDs `derive` cites for `target`, each as (f, S_i, S_{i+1}) with the
-    closure sets before and after it fires; None if `target` is not implied.
+    """The FDs that fire for `target`, in order; None if `target` is not implied.
 
-    Citation order: of the ready FDs whose rhs is not covered, the least by
+    Firing order: of the ready FDs whose rhs is not covered, the least by
     (sorted lhs, sorted rhs) fires next, until the target rhs is covered.  An
     FD is keyed, and pushed on a heap as (key, index), only when it becomes
     ready with its rhs uncovered; one whose rhs is covered when it pops, such
     as a duplicate after its twin, can never grow the closure and is dropped.
+    The closure is one set, grown in place: O(||F|| + r log r) for r pushed.
     """
     fds = list(fds)
-    closure = frozenset(target.lhs)
+    closure = set(target.lhs)
     missing, waiting, ready = _counts(fds, closure)
     heap = [(sorted(fds[i].lhs), sorted(fds[i].rhs), i) for i in ready if not fds[i].rhs <= closure]
     heapq.heapify(heap)
-    used = []
-    while not target.rhs <= closure:
+    fired, wanted = [], set(target.rhs) - closure
+    while wanted:
         if not heap:
             return None
         f = fds[heapq.heappop(heap)[2]]
-        if f.rhs <= closure:
+        new = f.rhs - closure
+        if not new:
             continue
-        grown = closure | f.rhs
-        used.append((f, closure, grown))
-        for a in f.rhs - closure:
+        fired.append(f)
+        closure |= new
+        wanted -= new
+        for a in new:
             for j in waiting.get(a, ()):
                 missing[j] -= 1
-                if not missing[j] and not fds[j].rhs <= grown:
+                if not missing[j] and not fds[j].rhs <= closure:
                     heapq.heappush(heap, (sorted(fds[j].lhs), sorted(fds[j].rhs), j))
-        closure = grown
-    return used
+    return fired
 
 
 def derive(fds: Iterable[FunctionalDependency], fd: FunctionalDependency) -> Optional[Derivation]:
-    """A machine-checkable proof of `fd` from `fds`, or None if not implied.
+    """A machine-checkable proof of `fd` = X -> Y from `fds`, or None if not implied.
 
-    Shape: each used base FD is cited once, in `_firings` order; a single
-    reflexivity step brings the target rhs under the closure; augmentation
-    steps grow the lhs chain; transitivity steps stitch the chain together.
+    It cites the goal's support only: walking `_firings` backward, an FD is
+    cited iff its rhs supplies a needed attribute; Y - X is needed, and each
+    cited FD adds its lhs - X.  From C_0 = X, the i-th cited FD L_i -> R_i is
+    augmented by Z_i = C_{i-1} less the attributes of L_i whose last use (in
+    a cited lhs; never for Y's) is i, to C_{i-1} -> C_i = R_i | Z_i.  Shape:
+    the cited FDs as givens, in firing order; one reflexivity step C_k -> Y;
+    the augmentations; transitivity steps X -> C_2 ... X -> C_k, then X -> Y:
+    3k + 1 steps holding Σ|C_i| attributes, each side shared where linked.
     """
-    used = _firings(fds, fd)  # (f, S_i, S_{i+1})
+    used = _firings(fds, fd)
     if used is None:
         return None
-    if not used:
+    need, cited = set(fd.rhs - fd.lhs), []
+    for f in reversed(used):
+        if not need.isdisjoint(f.rhs):
+            cited.append(f)
+            need -= f.rhs
+            need |= f.lhs - fd.lhs
+    if not cited:
         return Derivation(fd, (DerivationStep(REFLEXIVITY, fd),))
+    cited.reverse()
+    k, carried, augmentations = len(cited), fd.lhs, []
+    last = {a: i for i, f in enumerate(cited) for a in f.lhs} | dict.fromkeys(fd.rhs, k)
+    for given, f in enumerate(cited):
+        z = carried.difference(a for a in f.lhs if last[a] == given)
+        augmentations.append(DerivationStep(AUGMENTATION, FunctionalDependency(carried, f.rhs | z), (given,), z))
+        carried = augmentations[-1].conclusion.rhs
+    steps = [DerivationStep(GIVEN, f) for f in cited]
+    steps += [DerivationStep(REFLEXIVITY, FunctionalDependency(carried, fd.rhs)), *augmentations]
 
-    steps = [DerivationStep(GIVEN, f) for f, _, _ in used]
-    reflex_index = len(steps)
-    steps.append(DerivationStep(REFLEXIVITY, FunctionalDependency(used[-1][2], fd.rhs)))
-
-    # Augmentations: (S_i -> S_{i+1}) from used FD i (step i), padding by S_i.
-    aug_indices = range(len(steps), len(steps) + len(used))
-    for given, (f, before, after) in enumerate(used):
-        steps.append(DerivationStep(AUGMENTATION, FunctionalDependency(before, after), (given,), before))
-
-    # Transitivity chain: X -> S_1 -> ... -> S_k, then S_k -> rhs.
-    chain = aug_indices[0]
-    for idx in aug_indices[1:]:
-        prev = steps[chain].conclusion
-        nxt = steps[idx].conclusion
-        steps.append(
-            DerivationStep(TRANSITIVITY, FunctionalDependency(prev.lhs, nxt.rhs), (chain, idx))
-        )
+    # Transitivity chain: X -> C_1 -> ... -> C_k, then C_k -> Y (step k).
+    chain = k + 1
+    for aug in range(k + 2, 2 * k + 1):
+        link = FunctionalDependency(fd.lhs, steps[aug].conclusion.rhs)
+        steps.append(DerivationStep(TRANSITIVITY, link, (chain, aug)))
         chain = len(steps) - 1
-    last = FunctionalDependency(steps[chain].conclusion.lhs, fd.rhs)
-    steps.append(DerivationStep(TRANSITIVITY, last, (chain, reflex_index)))
+    steps.append(DerivationStep(TRANSITIVITY, FunctionalDependency(fd.lhs, fd.rhs), (chain, k)))
     return Derivation(fd, tuple(steps))
 
 

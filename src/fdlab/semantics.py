@@ -119,9 +119,10 @@ class SelectionResult:
 
 def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[str]] = None) -> SelectionResult:
     """t[X=binding] projected on `onto` (default: the schema): `_rows` of the
-    answer `_binder` gives t for the binding, met by walking t's bindings,
-    O(bindings of t), or empty if t does not hold it; over DEFAULT_VALUATION_CAP
-    bindings of t or rows raise ValuationBudgetExceeded.  The binding has one
+    answer `_binder` gives t narrowed to b, O(size of t): a vague t's X cells
+    become {b_k}, a disjunctive t keeps its disjuncts with X = b, and a t not
+    holding b answers empty.  Over DEFAULT_VALUATION_CAP lhs bindings of a vague
+    t, whatever b is, or rows raise ValuationBudgetExceeded.  The binding has one
     value per attribute of X, in schema order; other lengths raise SchemaError."""
     y_pos = tuple(range(len(t.schema))) if onto is None else t.schema.positions(onto)
     x_pos = t.schema.positions(x_attrs)
@@ -129,8 +130,17 @@ def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[st
     binding = tuple(binding)
     if len(binding) != len(x_norm):
         raise SchemaError(f"binding {binding} has {len(binding)} values for the {len(x_norm)} attributes {x_norm}")
-    answer = next((a for _, b, a in _binder(x_pos, y_pos)((t,)) if b == binding), frozenset())
-    return SelectionResult(x_norm, binding, tuple(t.schema.attributes[i] for i in y_pos), _rows(answer))
+    schema, bound = t.schema, dict(zip(x_pos, binding))
+    if type(t) is VagueTuple:
+        if math.prod(len(t.cells[p]) for p in x_pos) > DEFAULT_VALUATION_CAP:
+            raise ValuationBudgetExceeded(DEFAULT_VALUATION_CAP)
+        cells = tuple(frozenset((bound[p],)) if p in bound else c for p, c in enumerate(t.cells))
+        t = VagueTuple(schema, cells, checked=True) if all(v in t.cells[p] for p, v in bound.items()) else None
+    elif type(t) is DisjunctiveTuple:
+        rows = frozenset(r for r in t.disjuncts if tuple(r[p] for p in x_pos) == binding)
+        t = DisjunctiveTuple(schema, rows, checked=True)
+    answer = next((a for _, b, a in _binder(x_pos, y_pos)(() if t is None else (t,)) if b == binding), frozenset())
+    return SelectionResult(x_norm, binding, tuple(schema.attributes[i] for i in y_pos), _rows(answer))
 
 
 def _getter(pos: tuple):

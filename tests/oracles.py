@@ -379,29 +379,54 @@ def attribute_closure(fds, attrs) -> frozenset:
     return frozenset(closure)
 
 
-def derive(fds, fd):
-    """The proof `derive` must return, built from the restart-from-the-top
-    firing order: after every firing, the least FD whose lhs is covered and
-    whose rhs is not fires next, until the target rhs is covered."""
+def firings(fds, fd):
+    """The restart-from-the-top firing order: after every firing, the least
+    FD whose lhs is covered and whose rhs is not fires next, until the target
+    rhs is covered; None if it never is."""
     closure = frozenset(fd.lhs)
     ordered = _sorted_fds(fds)
-    used = []
+    fired = []
     while not fd.rhs <= closure:
         f = next((f for f in ordered if f.lhs <= closure and not f.rhs <= closure), None)
         if f is None:
             return None
-        used.append((f, closure))
+        fired.append(f)
         closure |= f.rhs
-    if not used:
+    return fired
+
+
+def derive(fds, fd):
+    """The proof `derive` must return.  Its support is a fixpoint: each
+    needed use of an attribute outside X (in Y, or in the lhs of a cited FD)
+    cites the last firing before that use whose rhs holds the attribute.
+    Each cited lhs attribute is carried until the last cited FD whose lhs
+    holds it, which a scan of the later cited FDs finds; Y's, to the end."""
+    fired = firings(fds, fd)
+    if fired is None:
+        return None
+    uses = [(len(fired), a) for a in fd.rhs - fd.lhs]
+    support = set()
+    while True:
+        cited = {max(i for i in range(at) if a in fired[i].rhs) for at, a in uses}
+        if cited == support:
+            break
+        support = cited
+        uses = [(at, a) for at, a in uses if at == len(fired)]
+        uses += [(i, a) for i in support for a in fired[i].lhs - fd.lhs]
+    cited = [fired[i] for i in sorted(support)]
+    if not cited:
         return Derivation(fd, (DerivationStep(REFLEXIVITY, fd),))
-    k = len(used)
-    # Steps 0..k-1 cite the used FDs, k is S_k -> Y, k+1..2k augment S_i -> S_i+1.
-    steps = [DerivationStep(GIVEN, f) for f, _ in used]
-    steps.append(DerivationStep(REFLEXIVITY, FunctionalDependency(closure, fd.rhs)))
-    steps += [
-        DerivationStep(AUGMENTATION, FunctionalDependency(before, before | f.rhs), (i,), before)
-        for i, (f, before) in enumerate(used)
-    ]
+    k = len(cited)
+    # Steps 0..k-1 cite the FDs, k is C_k -> Y, k+1..2k augment C_i-1 -> C_i.
+    steps = [DerivationStep(GIVEN, f) for f in cited]
+    carried, augmentations = frozenset(fd.lhs), []
+    for i, f in enumerate(cited):
+        later = set().union(*(g.lhs for g in cited[i + 1:]))
+        z = frozenset(a for a in carried if a not in f.lhs or a in later or a in fd.rhs)
+        augmentations.append(DerivationStep(AUGMENTATION, FunctionalDependency(carried, f.rhs | z), (i,), z))
+        carried = f.rhs | z
+    steps.append(DerivationStep(REFLEXIVITY, FunctionalDependency(carried, fd.rhs)))
+    steps += augmentations
     chain = k + 1
     for aug in range(k + 2, 2 * k + 1):
         steps.append(DerivationStep(

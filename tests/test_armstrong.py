@@ -16,9 +16,10 @@ from fdlab import (
 )
 from fdlab.armstrong import AUGMENTATION, GIVEN, REFLEXIVITY, TRANSITIVITY
 
+import oracles as O
 import tables as T
 from tables import fd
-from gen import rand_fd, rand_fd_set, rand_vague_table
+from gen import rand_fd, rand_fd_set, rand_vague_table, wide_fd_set
 
 
 class TestClosure:
@@ -94,6 +95,44 @@ class TestDerive:
             if d is not None:
                 assert check_derivation(fds, d)
                 assert d.conclusion == target
+
+    def test_chain_proof_carries_only_live_attributes(self):
+        # c1000 -> c0 over 1,000 links: 3k + 1 steps, as before, but each
+        # side holds at most 2 attributes, where the closure sets held up to 1,001.
+        chain = [fd(f"c{i + 1:04d}", f"c{i:04d}") for i in range(1000)]
+        d = derive(chain, fd("c1000", "c0000"))
+        assert len(d.steps) == 3 * 1000 + 1 and check_derivation(chain, d)
+        assert max(max(len(s.conclusion.lhs), len(s.conclusion.rhs)) for s in d.steps) <= 2
+
+    def test_ready_units_off_the_goal_are_not_cited(self):
+        # 1,000 units fire before -> g in firing order; only -> g is cited:
+        # 4 steps, where citing every firing gave 3,004.
+        units = [fd("", f"b{i:04d}") for i in range(1000)] + [fd("", "g")]
+        d = derive(units, fd("", "g"))
+        assert [s.rule for s in d.steps] == [GIVEN, REFLEXIVITY, AUGMENTATION, TRANSITIVITY]
+        assert check_derivation(units, d)
+
+    def test_cited_fds_are_a_supported_subsequence_of_the_firings(self):
+        rng = random.Random(3)
+        cases = [(rand_fd_set(rng, "ABCDEF", max_fds=12), rand_fd(rng, "ABCDEF")) for _ in range(2000)]
+        fds, targets = wide_fd_set(random.Random(18), 1000)
+        cases += [(fds, target) for target in targets]
+        sliced = 0
+        for fds, target in cases:
+            d = derive(fds, target)
+            if d is None:
+                continue
+            cited = [s.conclusion for s in d.steps if s.rule == GIVEN]
+            fired = O.firings(fds, target)
+            order = iter(fired)
+            assert all(f in order for f in cited), (fds, target)
+            supplied = set(target.lhs)
+            for f in cited:
+                assert f.lhs <= supplied, (fds, target, f)
+                supplied |= f.rhs
+            assert target.rhs <= supplied
+            sliced += len(cited) < len(fired)
+        assert sliced > 50
 
 
 class TestCheckDerivation:

@@ -872,7 +872,7 @@ def test_check_derivation_agrees_with_the_set_building_replay():
             if kind == "unchanged":
                 assert got is True
     # 608 proofs (the 1,000-link chain among them), each unchanged and under
-    # 15 edits: 9,728 cases, of which 7,266 are rejected by a False verdict
+    # 15 edits: 9,728 cases, of which 7,202 are rejected by a False verdict
     # or an exception.
     assert len(proofs) == 608
-    assert outcomes == {True: 2462, False: 4716, "TypeError": 1824, "ValueError": 608, "AttributeError": 118}
+    assert outcomes == {True: 2526, False: 4651, "TypeError": 1824, "ValueError": 608, "AttributeError": 119}

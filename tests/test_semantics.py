@@ -466,6 +466,20 @@ class TestWideRhs:
         assert time.perf_counter() - start < 0.05
         assert select(t, lhs[1:], ("v0",) * 6, onto=["A0"]).answers == frozenset({("j",), ("k",)})
 
+    def test_select_narrows_to_the_binding_before_the_pass(self):
+        # A2 ... A7 take 8^6 bindings, under the cap: the last in sorted order,
+        # one outside the cells, and the last with A0 bound to j as well answer
+        # at once, where walking the tuple's bindings up to b took 40-80 ms.
+        t = next(t for t in T.wide_rhs(7)[0].tuples if t.cells[0] == {"j", "k"})
+        lhs = [f"A{i}" for i in range(2, 8)]
+        cases = [(lhs, ("v7",) * 6, {("j", "v0"), ("j", "v7"), ("k", "v0"), ("k", "v7")}),
+                 (lhs, ("z",) * 6, set()), (["A0", *lhs], ("j", *["v7"] * 6), {("j", "v0"), ("j", "v7")})]
+        for x, b, want in cases:
+            start = time.perf_counter()
+            got = select(t, x, b, onto=["A0", "A1"]).answers
+            assert time.perf_counter() - start < 0.005
+            assert {r for r in got if r[1] in ("v0", "v7")} == want
+
     def test_data_file_is_the_widest_case(self):
         data = Path(__file__).parent / "data"
         table, f = T.wide_rhs(7)
