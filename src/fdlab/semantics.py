@@ -23,10 +23,11 @@ built once per FD and pass, walks the tuples as (index, binding, answer set)
 triples, and `_first_disagreement` makes one hash pass over them.  Answers
 have one canonical form, equal iff the row sets are (`_rows` lists them): a
 standard or vague tuple's is its rhs cells (or its one row), O(|Y|), and
-vertical on those tables is the pfd pass.  No checker
-enumerates possible worlds.  rm scores only the pairs that share a value on
-its most selective lhs attribute, found in a `value -> tuples` index, and
-counts the pairs it compares against a cap.
+vertical on those tables is the pfd pass.  `_narrow` alone builds t[X=b]:
+`select` runs the pass on it, and strong's witness rows are its valuations.
+No checker enumerates possible worlds.  rm scores only the pairs sharing a
+value on its most selective lhs attribute, found in a `value -> tuples`
+index, and counts the pairs it compares against a cap.
 """
 
 from __future__ import annotations
@@ -93,18 +94,19 @@ def _cells(t) -> tuple:
     return t.cells if isinstance(t, VagueTuple) else tuple(frozenset((v,)) for v in t.values)
 
 
-def _rows_under(t, x_pos: tuple, binding: tuple, y_pos: tuple):
-    """The valuation rows of `t` with X = binding, which `t` holds, in value
-    order (X and Y as schema positions), for strong's witness: a disjunctive
-    tuple's sorted disjuncts that carry the binding; for a standard or vague
-    tuple, the product of the bound value at X, the sorted cell at Y and the
-    least value everywhere else."""
-    if isinstance(t, DisjunctiveTuple):
-        return [row for row in sorted(t.disjuncts) if tuple(row[i] for i in x_pos) == binding]
-    bound = dict(zip(x_pos, binding))
-    return itertools.product(*(
-        (bound[p],) if p in bound else sorted(c) if p in y_pos else (min(c),) for p, c in enumerate(_cells(t))
-    ))
+def _narrow(t, x_pos: tuple, b: tuple, y_pos: tuple):
+    """t[X=b] as one tuple (X and Y as schema positions), or None when t does
+    not hold b: a vague t takes {b_k} at X and its least value at each position
+    outside X and Y, a standard or disjunctive t becomes the disjunction of its
+    rows with X = b.  Its valuations, in value order, are strong's witness rows."""
+    if type(t) is VagueTuple:
+        bound = dict(zip(x_pos, b))
+        cells = tuple(frozenset((bound[p],)) if p in bound else c if p in y_pos else frozenset((min(c),))
+                      for p, c in enumerate(t.cells))  # hashes every b_k, held or not
+        held = all(v in t.cells[p] for p, v in bound.items())
+        return VagueTuple(t.schema, cells, checked=True) if held else None
+    rows = frozenset(r for r in t.valuations() if tuple(r[p] for p in x_pos) == b)
+    return DisjunctiveTuple(t.schema, rows, checked=True) if rows else None
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,9 @@ class SelectionResult:
 
 def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[str]] = None) -> SelectionResult:
     """t[X=binding] projected on `onto` (default: the schema): `_rows` of the
-    answer `_binder` gives t narrowed to b, O(size of t): a vague t's X cells
-    become {b_k}, a disjunctive t keeps its disjuncts with X = b, and a t not
-    holding b answers empty.  Over DEFAULT_VALUATION_CAP lhs bindings of a vague
-    t, whatever b is, or rows raise ValuationBudgetExceeded.  The binding has one
+    answer `_binder` gives `_narrow(t)`, O(size of t); a t not holding b
+    answers empty.  Over DEFAULT_VALUATION_CAP lhs bindings of a vague t,
+    whatever b is, or rows raise ValuationBudgetExceeded.  The binding has one
     value per attribute of X, in schema order; other lengths raise SchemaError."""
     y_pos = tuple(range(len(t.schema))) if onto is None else t.schema.positions(onto)
     x_pos = t.schema.positions(x_attrs)
@@ -130,17 +131,11 @@ def select(t, x_attrs: Iterable[str], binding: tuple, onto: Optional[Iterable[st
     binding = tuple(binding)
     if len(binding) != len(x_norm):
         raise SchemaError(f"binding {binding} has {len(binding)} values for the {len(x_norm)} attributes {x_norm}")
-    schema, bound = t.schema, dict(zip(x_pos, binding))
-    if type(t) is VagueTuple:
-        if math.prod(len(t.cells[p]) for p in x_pos) > DEFAULT_VALUATION_CAP:
-            raise ValuationBudgetExceeded(DEFAULT_VALUATION_CAP)
-        cells = tuple(frozenset((bound[p],)) if p in bound else c for p, c in enumerate(t.cells))
-        t = VagueTuple(schema, cells, checked=True) if all(v in t.cells[p] for p, v in bound.items()) else None
-    elif type(t) is DisjunctiveTuple:
-        rows = frozenset(r for r in t.disjuncts if tuple(r[p] for p in x_pos) == binding)
-        t = DisjunctiveTuple(schema, rows, checked=True)
-    answer = next((a for _, b, a in _binder(x_pos, y_pos)(() if t is None else (t,)) if b == binding), frozenset())
-    return SelectionResult(x_norm, binding, tuple(schema.attributes[i] for i in y_pos), _rows(answer))
+    if type(t) is VagueTuple and math.prod(len(t.cells[p]) for p in x_pos) > DEFAULT_VALUATION_CAP:
+        raise ValuationBudgetExceeded(DEFAULT_VALUATION_CAP)
+    narrow = _narrow(t, x_pos, binding, y_pos)
+    answer = next((a for _, _, a in _binder(x_pos, y_pos)(() if narrow is None else (narrow,))), frozenset())
+    return SelectionResult(x_norm, binding, tuple(t.schema.attributes[i] for i in y_pos), _rows(answer))
 
 
 def _getter(pos: tuple):
@@ -338,7 +333,7 @@ def find_strong_violation(
     different rhs rows under the binding, witnessed by the least such pair of
     valuations: t1's least row under the binding, then t2's least row with
     another rhs row, or, when t2 has none, t2's least row and then t1's least
-    with another.  Both rows are read from `_rows_under`.
+    with another.  Both rows are valuations of the tuple's `_narrow` to b.
 
     Valuations are independent per tuple, so a world violates the FD iff two
     distinct tuples share an lhs binding and their answer sets are not one and
@@ -357,7 +352,8 @@ def find_strong_violation(
 
     def least(t, avoid=None):
         """The first row of `t` under b whose Y projection is not `avoid`."""
-        return next((row for row in _rows_under(t, x_pos, b, y_pos) if tuple(row[i] for i in y_pos) != avoid), None)
+        rows = _narrow(t, x_pos, b, y_pos).valuations()
+        return next((row for row in rows if tuple(row[i] for i in y_pos) != avoid), None)
 
     u1 = least(t1)
     u2 = least(t2, tuple(u1[i] for i in y_pos))

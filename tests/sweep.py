@@ -25,12 +25,13 @@ The cases, each run on both sides with that side's own parser and `Table`:
   witnesses and notes under both resemblance variants, `check` reports
   under every semantics of the last three FDs (their lhs is the whole
   schema) and of the FDs with a one-attribute lhs, `find_vertical_violation`
-  at caps 1 and 4 for each of those, weak at budgets 2, 4 and 8 for each
-  FD with a one-attribute lhs, and `check_seamless` of the last three at budgets 1,
-  3, 6 and 20, where small budgets give out; a `PfdIndex` per FD with a
-  one-attribute lhs, fed the table's tuples in a seeded order: each `check`
-  and `insert` (rejections rendered), a seeded accepted tuple removed twice,
-  and the sorted `entries()`; on vague tables,
+  at caps 1 and 4 for each of those, `find_strong_violation` at caps 1 and 3
+  and weak at budgets 2, 4 and 8 for each FD with a one-attribute lhs, and
+  `check_seamless` of the last three at budgets 1, 3, 6 and 20, where small
+  budgets give out; a `PfdIndex` per FD with a one-attribute lhs, fed the
+  table's tuples in a seeded order: each `check` and `insert` (rejections
+  rendered), a seeded accepted tuple removed twice, and the sorted
+  `entries()`; on vague tables,
   `seamless_valuation_rows` rows or errors at valuation seeds 0-2, for the
   FDs that hold as pfds, every third of them, and three FDs that mostly fail;
 * Armstrong reasoning, on every FD file under tests/data and on seeded
@@ -39,7 +40,7 @@ The cases, each run on both sides with that side's own parser and `Table`:
   `implies`, the `derive` proof (each step's rule, conclusion, premises
   and `augment_with`) and its `check_derivation` verdict.
 
-274,908 cases (67,039 of them Armstrong cases), about 15-18 s for both sides
+288,836 cases (67,039 of them Armstrong cases), about 16-25 s for both sides
 on a 2-vCPU host.
 
 Exit status: 0 if no case differs, 1 otherwise.
@@ -175,6 +176,8 @@ def library_cases(side, name, table):
         yield f"{name} check {sem} {group[0]}", outcome(lambda: s.check(table, group, sem, valuation_cap=5000).to_text())
     for f, cap in itertools.product(fds[-3:] + ones, (1, 4)):
         yield f"{name} vertical {f} cap={cap}", outcome(lambda: shown(s.find_vertical_violation(table, f, cap)))
+    for f, cap in itertools.product(ones, (1, 3)):
+        yield f"{name} strong {f} cap={cap}", outcome(lambda: shown(s.find_strong_violation(table, f, cap)))
     for f, budget in itertools.product(ones, (2, 4, 8)):
         yield f"{name} weak {f} budget={budget}", outcome(lambda: s.check(table, f, "weak", budget).to_text())
     for budget in (1, 3, 6, 20):

@@ -47,6 +47,16 @@ NO_JOINT_WORLD = Table.disjunctive(["A", "B", "C", "D"], [
     [("a1", "b2", "c1", "d1"), ("a1", "b1", "c1", "d2")],
 ])
 
+# Disjunctive, the least witness of the negative claim: each of -> A and
+# -> B projects to one tuple, where strong holds, yet no world gives both
+# tuples one A value and one B value.
+NO_JOINT_WORLD_AB = Table.disjunctive(["A", "B"], [
+    [("0", "0"), ("1", "1")],
+    [("0", "1"), ("1", "0")],
+])
+TO_A = fd("", "A")
+TO_B = fd("", "B")
+
 # Disjunctive: augmentation fails (A->C holds, AB->CB does not).
 AUGMENTATION_TRAP = Table.disjunctive(["A", "B", "C"], [
     [("a", "b1", "c1"), ("a", "b2", "c2")],

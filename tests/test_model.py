@@ -242,7 +242,7 @@ class TestConversions:
         assert Table.standard(S2, [("a", "b"), ("a2", "b")]).valuation_count() == 1
 
     def test_valuations_come_in_value_order(self):
-        # Vertical's tuple order and `_rows_under` read valuations unsorted.
+        # Vertical's tuple order and strong's witness rows (`_narrow`'s valuations) read them unsorted.
         rng = random.Random(14)
         for make in (rand_standard_table, rand_vague_table, rand_disjunctive_table):
             for _ in range(100):

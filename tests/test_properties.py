@@ -6,8 +6,10 @@ A universe is a list of (table, FD) pairs, each with the table's projection
 onto the FD's attributes.  A notion is read as one boolean per (table, FD),
 projections included: whether the FD holds there.  The three properties
 become constraints on those booleans.  On `NO_JOINT_WORLD` with A -> B and
-C -> D, whose projections onto {A, B} and {C, D} carry one FD each, a
-brute-force pass over all of them finds no assignment that meets the three.
+C -> D, whose projections onto {A, B} and {C, D} carry one FD each, and on
+the two-attribute `NO_JOINT_WORLD_AB` with -> A and -> B, whose projections
+are one tuple each, a brute-force pass over all of them finds no assignment
+that meets the three.
 On every vague table of `tables.py`, and on every vague table over A, B, C
 with values {0, 1} and one or two tuples, pfd's verdicts meet all three."""
 
@@ -53,21 +55,21 @@ def seamless(universe, holds) -> bool:
 
 PROPERTIES = {"implied by strong": implied_by_strong, "independence": independent, "seamless": seamless}
 
-TABLE = T.NO_JOINT_WORLD
-NO_JOINT = with_projections([(TABLE, T.AB), (TABLE, T.CD)])
-PROJECTIONS = {f: p for _, f, p in NO_JOINT}
-VARIABLES = variables(NO_JOINT)
+NO_JOINT = with_projections([(T.NO_JOINT_WORLD, T.AB), (T.NO_JOINT_WORLD, T.CD)])
+NO_JOINT_AB = with_projections([(T.NO_JOINT_WORLD_AB, T.TO_A), (T.NO_JOINT_WORLD_AB, T.TO_B)])
 
 
-def broken(holds, universe=NO_JOINT) -> set:
+def broken(holds, universe) -> set:
     return {name for name, prop in PROPERTIES.items() if not prop(universe, holds)}
 
 
 def test_no_fd_notion_has_all_three_properties():
-    assert all(len(p.tuples) == 1 for p in PROJECTIONS.values())
-    assignments = [dict(zip(VARIABLES, bits)) for bits in itertools.product((False, True), repeat=len(VARIABLES))]
-    assert len(assignments) == 16
-    assert [holds for holds in assignments if not broken(holds)] == []
+    for universe in (NO_JOINT, NO_JOINT_AB):
+        assert all(len(p.tuples) == 1 for _, _, p in universe)
+        names = variables(universe)
+        assignments = [dict(zip(names, bits)) for bits in itertools.product((False, True), repeat=len(names))]
+        assert len(assignments) == 16
+        assert [holds for holds in assignments if not broken(holds, universe)] == []
 
 
 def test_each_semantics_breaks_one_property_on_the_witness():
@@ -77,9 +79,12 @@ def test_each_semantics_breaks_one_property_on_the_witness():
         check_pfd: {"seamless"},
         check_weak: {"seamless"},
     }
-    for check, props in expected.items():
-        holds = {(table, f): check(table, f) for table, f in VARIABLES}
-        assert broken(holds) == props, check.__name__
+    for universe in (NO_JOINT, NO_JOINT_AB):
+        for check, props in expected.items():
+            holds = {(table, f): check(table, f) for table, f in variables(universe)}
+            assert broken(holds, universe) == props, check.__name__
+        table = universe[0][0]
+        assert check_seamless(table, [f for _, f, _ in universe]) is None
 
 
 def _subsets(attrs):

@@ -39,7 +39,7 @@ from fdlab import (
     tuple_resemblance,
 )
 from fdlab import semantics
-from fdlab.semantics import _valuation_order, find_pfd_violation, find_vertical_violation
+from fdlab.semantics import _valuation_order, find_pfd_violation, find_strong_violation, find_vertical_violation
 
 import tables as T
 from oracles import check_pfd_decomposed
@@ -428,6 +428,19 @@ class TestWideRhs:
                 assert checker(table, f) is holds
                 times.append(time.perf_counter() - start)
             assert min(times) < 0.005, (checker.__name__, times)
+
+    def test_strong_witness_takes_least_values_outside_the_fd(self):
+        # A2 ... A7 are outside A0 -> A1: the witness rows fix them at their
+        # least value, so t2's second row already differs on A1.  Walking
+        # their 8^6 rows before it took about 200 ms.
+        table, _ = T.wide_rhs(7)
+        want = "world-pair-disagrees t1=(k,v0,v0,v0,v0,v0,v0,v0) t2=(k,v1,v0,v0,v0,v0,v0,v0) binding=(k)"
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert find_strong_violation(table, fd("A0", "A1")).render() == want
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.005, times
 
     def test_weak_and_seamless_return_the_least_world(self):
         # pfd holds, so the world of least valuations satisfies the FD and
